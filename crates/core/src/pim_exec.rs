@@ -222,23 +222,21 @@ impl BatchRunner {
             // re-sized every section: recovery may quarantine arrays
             let n = self.pool.healthy_len();
             let section = &chunks[next..chunks.len().min(next + n.max(1))];
-            let results = self
-                .pool
-                .run_phase_resilient_labeled("lm_batch", |shard, m| {
-                    section.get(shard).map(|c| {
-                        exec_batch(
-                            m,
-                            base_row,
-                            c,
-                            pose,
-                            kf,
-                            cam,
-                            opts.interp,
-                            opts.mapping,
-                            &cache,
-                        )
-                    })
-                })?;
+            let results = self.pool.run_phase_resilient("lm_batch", |shard, m| {
+                section.get(shard).map(|c| {
+                    exec_batch(
+                        m,
+                        base_row,
+                        c,
+                        pose,
+                        kf,
+                        cam,
+                        opts.interp,
+                        opts.mapping,
+                        &cache,
+                    )
+                })
+            })?;
             outputs.extend(results.into_iter().flatten());
             next += section.len();
         }

@@ -1,9 +1,8 @@
 //! Sharded edge-detection kernels on a [`PimArrayPool`]: each array
 //! runs the [`crate::ir`] kernel programs — lowered at
 //! [`pimvo_pim::LowerLevel::Opt`] — for a contiguous strip of image
-//! rows, submitted through
-//! [`PimArrayPool::submit_strips`] (the job-queue strip entry point,
-//! one pinned job per array).
+//! rows, submitted as one labeled [`PimArrayPool::run_phase`] per
+//! kernel pass (one program per array).
 //!
 //! # Sharding model
 //!
@@ -58,6 +57,17 @@ where
         .iter()
         .map(|&(y0, y1)| lower_opt(&build(y0, y1), r, &cache, &config))
         .collect()
+}
+
+/// Runs `programs[i]` on array `i` as one labeled pool phase. The
+/// strip kernels host-load each strip into a fixed array, so the phase
+/// runs on every array, quarantined ones included.
+fn run_strips(pool: &mut PimArrayPool, label: &str, programs: &[Arc<LoweredProgram>]) {
+    for out in pool.run_phase(label, |i, m| m.run_program(&programs[i])) {
+        if let Err(e) = out {
+            panic!("{label} programs run: {e}");
+        }
+    }
 }
 
 /// [`strip_programs`] with an explicit pass list. Uncached: the cache
@@ -201,8 +211,7 @@ fn edge_detect_frame(
     let p1 = lower_strips(pool, &mut |y0, y1| {
         lpf_pass1_program(&r, r.input, h, y0, y1)
     });
-    pool.submit_strips_shared("lpf_pass1", &p1)
-        .expect("lpf pass 1 programs run");
+    run_strips(pool, "lpf_pass1", &p1);
     if let Some(nf) = next {
         // input bank is dead from here on: stream the next frame's
         // strips behind the remaining three phases
@@ -218,24 +227,21 @@ fn edge_detect_frame(
     let p2 = lower_strips(pool, &mut |y0, y1| {
         lpf_pass2_program(&r, r.aux2, h, mask, y0, y1)
     });
-    pool.submit_strips_shared("lpf_pass2", &p2)
-        .expect("lpf pass 2 programs run");
+    run_strips(pool, "lpf_pass2", &p2);
     let lpf = collect_image(pool, &strips, r.aux2, img.width(), h);
 
     exchange_boundary_rows(pool, &strips, r.aux2, h, true, true);
     let ph = lower_strips(pool, &mut |y0, y1| {
         hpf_program(&r, r.aux2, r.aux3, h, mask, y0, y1)
     });
-    pool.submit_strips_shared("hpf", &ph)
-        .expect("hpf programs run");
+    run_strips(pool, "hpf", &ph);
     let hpf = collect_image(pool, &strips, r.aux3, img.width(), h);
 
     exchange_boundary_rows(pool, &strips, r.aux3, h, true, true);
     let pn = lower_strips(pool, &mut |y0, y1| {
         nms_program(&r, r.aux3, r.out, h, mask, y0, y1)
     });
-    pool.submit_strips_shared("nms", &pn)
-        .expect("nms programs run");
+    run_strips(pool, "nms", &pn);
     let mut mask_img = collect_image(pool, &strips, r.out, img.width(), h);
     mask_img.clear_border(cfg.border);
 
@@ -269,14 +275,12 @@ pub fn lpf(pool: &mut PimArrayPool, img: &GrayImage) -> GrayImage {
     let p1 = strip_programs(pool, &strips, &r, |y0, y1| {
         lpf_pass1_program(&r, r.input, h, y0, y1)
     });
-    pool.submit_strips_shared("lpf_pass1", &p1)
-        .expect("lpf pass 1 programs run");
+    run_strips(pool, "lpf_pass1", &p1);
     exchange_boundary_rows(pool, &strips, r.aux1, h, true, false);
     let p2 = strip_programs(pool, &strips, &r, |y0, y1| {
         lpf_pass2_program(&r, r.aux2, h, mask, y0, y1)
     });
-    pool.submit_strips_shared("lpf_pass2", &p2)
-        .expect("lpf pass 2 programs run");
+    run_strips(pool, "lpf_pass2", &p2);
     collect_image(pool, &strips, r.aux2, img.width(), h)
 }
 
@@ -304,8 +308,7 @@ pub fn hpf(pool: &mut PimArrayPool, lpf_map: &GrayImage) -> GrayImage {
     let ph = strip_programs(pool, &strips, &r, |y0, y1| {
         hpf_program(&r, r.aux2, r.aux3, h, mask, y0, y1)
     });
-    pool.submit_strips_shared("hpf", &ph)
-        .expect("hpf programs run");
+    run_strips(pool, "hpf", &ph);
     collect_image(pool, &strips, r.aux3, lpf_map.width(), h)
 }
 
@@ -336,8 +339,7 @@ pub fn nms(pool: &mut PimArrayPool, hpf_map: &GrayImage, cfg: &EdgeConfig) -> Gr
     let pn = strip_programs(pool, &strips, &r, |y0, y1| {
         nms_program(&r, r.aux3, r.out, h, mask, y0, y1)
     });
-    pool.submit_strips_shared("nms", &pn)
-        .expect("nms programs run");
+    run_strips(pool, "nms", &pn);
     let mut out = collect_image(pool, &strips, r.out, hpf_map.width(), h);
     out.clear_border(cfg.border);
     out
@@ -363,8 +365,7 @@ pub fn downsample2x(pool: &mut PimArrayPool, img: &GrayImage) -> GrayImage {
     let pd = strip_programs(pool, &strips, &r, |oy0, oy1| {
         downsample_program(&r, oy0 as u32, oy1 as u32)
     });
-    pool.submit_strips_shared("downsample", &pd)
-        .expect("downsample programs run");
+    run_strips(pool, "downsample", &pd);
     let mut out = GrayImage::new(w, h);
     for (i, &(oy0, oy1)) in strips.iter().enumerate() {
         let m = pool.array_mut(i);

@@ -1035,7 +1035,7 @@ impl PimMachine {
     }
 
     /// Mutable access to the channel's op recorder (session stamping by
-    /// the wave scheduler).
+    /// [`crate::PimArrayPool::set_op_session`]).
     pub fn dma_recorder_mut(&mut self) -> Option<&mut OpRecorder> {
         self.dma.as_mut().and_then(|ch| ch.recorder_mut())
     }

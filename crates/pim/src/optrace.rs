@@ -16,8 +16,8 @@
 //!    executes macro-ops one at a time on one accumulator, so this
 //!    chain subsumes intra-machine ordering. After a pool sync point
 //!    the chain restarts from the barrier record
-//!    ([`OpRecorder::set_pending_dep`]), which is how job ordering
-//!    across waves enters the graph.
+//!    ([`OpRecorder::set_pending_dep`]), which is how phase ordering
+//!    across the pool enters the graph.
 //! 2. **RAW** — the most recent record that *wrote* any row this
 //!    record reads (host upload → compute, compute → compute).
 //! 3. **WAR/WAW** — the most recent record that read or wrote the row
@@ -26,7 +26,7 @@
 //!
 //! Ids are namespaced per stream (`(stream + 1) << 40 | seq`), so the
 //! per-array streams of a pool can be recorded lock-free under the
-//! wave scheduler's scoped threads and merged afterwards without
+//! pool's scoped phase threads and merged afterwards without
 //! renumbering. Draining ([`OpRecorder::drain`]) hands the buffer off
 //! but keeps sequence counters and row maps, so ids stay unique across
 //! frames and cross-frame edges simply dangle (the profiler treats a

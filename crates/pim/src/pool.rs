@@ -21,15 +21,19 @@
 //! are computed from per-array counters after the barrier, in array
 //! order.
 //!
-//! # Job-queue submission
+//! # Two phase methods
 //!
-//! The phase API models one kernel owning the whole pool. Multi-tenant
-//! submission goes through [`crate::PoolExecutor`] instead: jobs carry
-//! lowered programs plus session/class/priority metadata, and arrays
-//! pull work in deterministic waves (see [`crate::executor`]).
-//! [`PimArrayPool::submit_strips`] is the strip-kernel entry point on
-//! that path; [`PimArrayPool::run_programs_labeled`] remains as a thin
-//! compatibility wrapper over it.
+//! Every submission is one phase, and the pool has exactly two ways to
+//! run it. Both take a telemetry label and share one wave core (scoped
+//! dispatch, slowest-member wall accounting, sync charge, op-trace
+//! sync point):
+//!
+//! * [`PimArrayPool::run_phase`] runs on **every** array, quarantined
+//!   ones included. Strip-sharded kernels use it: their host-side setup
+//!   already loaded each strip into a specific array, so skipping one
+//!   would change the output.
+//! * [`PimArrayPool::run_phase_resilient`] runs on the healthy arrays
+//!   only, then recovers from detected errors (below).
 //!
 //! # Fault resilience
 //!
@@ -67,15 +71,19 @@
 
 use crate::cache::LoweredCache;
 use crate::dma::{DmaConfig, DmaFaultModel, DmaHealth};
-use crate::executor::{Job, JobHandle, PoolExecutor};
 use crate::fault::FaultStatus;
-use crate::lower::LoweredProgram;
 use crate::machine::{PimError, PimMachine, PimMachineBuilder};
 use crate::optrace::OpRecorder;
 use crate::stats::ExecStats;
 use pimvo_telemetry::optrace::{OpTrace, DMA_LANE_BASE, POOL_STREAM};
 use pimvo_telemetry::{Severity, Telemetry, TimeDomain};
 use std::collections::BTreeMap;
+
+/// Identifies the session (tenant) a pool's work belongs to. Purely an
+/// attribution tag at this layer: the serving layer schedules sessions
+/// and stamps their op records ([`PimArrayPool::set_op_session`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct SessionId(pub u32);
 
 /// Retry/quarantine policy of [`PimArrayPool::run_phase_resilient`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -203,7 +211,7 @@ impl PoolHealth {
 /// let mut pool = PimMachineBuilder::new(ArrayConfig::qvga()).build_pool(2);
 /// pool.array_mut(0).host_write_lanes(0, &[1, 2]).unwrap();
 /// pool.array_mut(1).host_write_lanes(0, &[3, 4]).unwrap();
-/// let sums: Vec<i64> = pool.run_phase(|_idx, m| {
+/// let sums: Vec<i64> = pool.run_phase("sum", |_idx, m| {
 ///     m.add(Operand::Row(0), Operand::Row(0));
 ///     m.tmp_lanes()[0]
 /// });
@@ -372,11 +380,15 @@ impl PimArrayPool {
         self.op_sync.is_some()
     }
 
-    /// Stamps subsequent op records (all streams) with a serving-layer
-    /// session id. A no-op while disarmed.
+    /// Stamps subsequent op records (all streams: machines, DMA lanes
+    /// and the pool sync stream) with a serving-layer session id. A
+    /// no-op while disarmed.
     pub fn set_op_session(&mut self, session: u32) {
         for m in &mut self.arrays {
             if let Some(r) = m.op_recorder_mut() {
+                r.set_session(session);
+            }
+            if let Some(r) = m.dma_recorder_mut() {
                 r.set_session(session);
             }
         }
@@ -591,211 +603,73 @@ impl PimArrayPool {
         delta
     }
 
-    /// Runs one parallel phase: `f(index, machine)` executes on every
-    /// array concurrently (scoped worker threads; inline for a pool of
-    /// one), with each closure owning its array exclusively. Returns the
+    /// Runs one parallel phase on **every** array, quarantined ones
+    /// included: `f(index, machine)` executes on each array
+    /// concurrently (scoped worker threads; inline for a pool of one),
+    /// with each closure owning its array exclusively. Returns the
     /// per-array results in array order.
     ///
     /// The phase forms a barrier: wall cycles advance by the maximum
     /// per-array cycle delta, plus the sync overhead when the pool has
-    /// more than one array.
-    pub fn run_phase<R, F>(&mut self, f: F) -> Vec<R>
-    where
-        R: Send,
-        F: Fn(usize, &mut PimMachine) -> R + Sync,
-    {
-        self.run_phase_labeled("phase", f)
-    }
-
-    /// [`PimArrayPool::run_phase`] with a phase label for telemetry:
-    /// when a handle is attached ([`PimArrayPool::set_telemetry`]), the
-    /// phase records one wall-time span and, in the cycle domain, a
-    /// pool-phase span plus one span per participating array (so the
-    /// trace shows the barrier waiting on the slowest shard).
-    pub fn run_phase_labeled<R, F>(&mut self, label: &str, f: F) -> Vec<R>
-    where
-        R: Send,
-        F: Fn(usize, &mut PimMachine) -> R + Sync,
-    {
-        let members: Vec<usize> = (0..self.arrays.len()).collect();
-        self.run_wave(label, &members, f).0
-    }
-
-    /// Runs one parallel *wave* over the arrays listed in `members`:
-    /// `f(slot, machine)` executes on `arrays[members[slot]]`, each
-    /// closure owning its array exclusively (scoped worker threads;
-    /// inline for a single member). Returns the per-slot results and
-    /// cycle deltas, both in `members` order.
-    ///
-    /// This is the execution core shared by the phase API (a wave over
-    /// every array) and the job executor ([`crate::PoolExecutor`], a
-    /// wave over whichever arrays pulled work). Accounting is the
-    /// phase rule: wall cycles advance by the slowest member's delta,
-    /// plus the sync overhead when more than one member participates;
-    /// telemetry records the pool-phase and per-array cycle spans.
-    pub(crate) fn run_wave<R, F>(
-        &mut self,
-        label: &str,
-        members: &[usize],
-        f: F,
-    ) -> (Vec<R>, Vec<u64>)
+    /// more than one array. When a telemetry handle is attached
+    /// ([`PimArrayPool::set_telemetry`]), `label` names one wall-time
+    /// span and, in the cycle domain, a pool-phase span plus one span
+    /// per array (so the trace shows the barrier waiting on the slowest
+    /// shard).
+    pub fn run_phase<R, F>(&mut self, label: &str, f: F) -> Vec<R>
     where
         R: Send,
         F: Fn(usize, &mut PimMachine) -> R + Sync,
     {
         let _wall = self.telemetry.span("pool", label);
         let wall_start = self.wall_cycles;
+        let members: Vec<usize> = (0..self.arrays.len()).collect();
+        let (results, deltas) = self.run_wave(&members, &f);
+        self.record_phase_spans(label, wall_start, &members, &deltas);
+        results
+    }
+
+    /// The wave core of both phase methods: `f(slot, machine)` executes
+    /// on `arrays[members[slot]]`, each closure owning its array
+    /// exclusively (scoped worker threads; inline for a single member).
+    /// Wall cycles then advance by the slowest member's delta, plus the
+    /// sync overhead when more than one member participates, and the op
+    /// trace records the barrier. Returns the per-slot results and cycle
+    /// deltas, both in `members` order. `members` must be ascending.
+    fn run_wave<R, F>(&mut self, members: &[usize], f: &F) -> (Vec<R>, Vec<u64>)
+    where
+        R: Send,
+        F: Fn(usize, &mut PimMachine) -> R + Sync,
+    {
+        debug_assert!(members.windows(2).all(|w| w[0] < w[1]));
         let results: Vec<R> = if members.len() == 1 {
             vec![f(0, &mut self.arrays[members[0]])]
         } else {
-            let mut slot_of: Vec<Option<usize>> = vec![None; self.arrays.len()];
-            for (k, &i) in members.iter().enumerate() {
-                slot_of[i] = Some(k);
-            }
             std::thread::scope(|s| {
                 let handles: Vec<_> = self
                     .arrays
                     .iter_mut()
                     .enumerate()
-                    .filter_map(|(i, m)| slot_of[i].map(|k| (k, m)))
-                    .map(|(k, m)| {
-                        let f = &f;
-                        s.spawn(move || (k, f(k, m)))
-                    })
+                    .filter(|(i, _)| members.binary_search(i).is_ok())
+                    .enumerate()
+                    .map(|(slot, (_, m))| s.spawn(move || f(slot, m)))
                     .collect();
-                let mut out: Vec<Option<R>> = (0..members.len()).map(|_| None).collect();
-                for h in handles {
-                    let (k, r) = h.join().expect("pool shard thread panicked");
-                    out[k] = Some(r);
-                }
-                out.into_iter()
-                    .map(|r| r.expect("every wave slot produces a result"))
+                handles
+                    .into_iter()
+                    .map(|h| h.join().expect("pool shard thread panicked"))
                     .collect()
             })
         };
         let deltas: Vec<u64> = members.iter().map(|&i| self.take_timeline(i)).collect();
-        let max_delta = deltas.iter().copied().max().unwrap_or(0);
-        self.wall_cycles += max_delta;
-        if members.len() > 1 {
-            self.wall_cycles += self.sync_cycles;
-            self.barriers += 1;
-        }
         let sync = if members.len() > 1 {
+            self.barriers += 1;
             self.sync_cycles
         } else {
             0
         };
+        self.wall_cycles += deltas.iter().copied().max().unwrap_or(0) + sync;
         self.op_sync_point(sync, members);
-        if self.telemetry.is_enabled() {
-            let participants: Vec<(usize, u64)> = members
-                .iter()
-                .copied()
-                .zip(deltas.iter().copied())
-                .collect();
-            self.record_phase_spans(label, wall_start, &participants);
-        }
         (results, deltas)
-    }
-
-    /// Legacy spelling of [`PimArrayPool::submit_strips`], kept as a
-    /// thin wrapper during the job-API migration so existing strip
-    /// kernels and their bit-identity tests keep working unchanged.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `programs.len()` differs from the pool size.
-    ///
-    /// # Errors
-    ///
-    /// As [`PimArrayPool::submit_strips`].
-    pub fn run_programs_labeled(
-        &mut self,
-        label: &str,
-        programs: &[LoweredProgram],
-    ) -> Result<Vec<Vec<i64>>, PimError> {
-        self.submit_strips(label, programs)
-    }
-
-    /// Strip-sharded program submission through the job queue:
-    /// `programs[i]` (one lowered macro-op program per array, see
-    /// [`crate::lower()`]) is submitted as a [`crate::Job`] pinned to
-    /// array `i`, and the queue is drained — a single wave, so
-    /// wall-cycle, barrier and telemetry accounting are identical to
-    /// [`PimArrayPool::run_phase_labeled`] over the same programs.
-    /// Returns each program's reduce results in array order.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `programs.len()` differs from the pool size.
-    ///
-    /// # Errors
-    ///
-    /// The first [`PimError`] any job's executor reports, in array
-    /// order (jobs that already ran stay charged, like any partially
-    /// executed phase).
-    pub fn submit_strips(
-        &mut self,
-        label: &str,
-        programs: &[LoweredProgram],
-    ) -> Result<Vec<Vec<i64>>, PimError> {
-        assert_eq!(
-            programs.len(),
-            self.arrays.len(),
-            "one lowered program per array"
-        );
-        let mut ex = PoolExecutor::new(self);
-        let handles: Vec<JobHandle> = programs
-            .iter()
-            .enumerate()
-            .map(|(i, p)| ex.submit(Job::strip(label, p.clone()).pin(i)))
-            .collect();
-        ex.drain()?;
-        handles
-            .into_iter()
-            .map(|h| {
-                ex.take(h)
-                    .expect("drained executor holds every result")
-                    .map(|r| r.outputs)
-            })
-            .collect()
-    }
-
-    /// [`PimArrayPool::submit_strips`] over already-shared programs
-    /// (e.g. handed out by the pool's [`LoweredCache`]) — identical
-    /// accounting, no instruction-stream clones.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `programs.len()` differs from the pool size.
-    ///
-    /// # Errors
-    ///
-    /// As [`PimArrayPool::submit_strips`].
-    pub fn submit_strips_shared(
-        &mut self,
-        label: &str,
-        programs: &[std::sync::Arc<LoweredProgram>],
-    ) -> Result<Vec<Vec<i64>>, PimError> {
-        assert_eq!(
-            programs.len(),
-            self.arrays.len(),
-            "one lowered program per array"
-        );
-        let mut ex = PoolExecutor::new(self);
-        let handles: Vec<JobHandle> = programs
-            .iter()
-            .enumerate()
-            .map(|(i, p)| ex.submit(Job::strip_shared(label, std::sync::Arc::clone(p)).pin(i)))
-            .collect();
-        ex.drain()?;
-        handles
-            .into_iter()
-            .map(|h| {
-                ex.take(h)
-                    .expect("drained executor holds every result")
-                    .map(|r| r.outputs)
-            })
-            .collect()
     }
 
     /// Records the cycle-domain spans of one completed phase: the pool
@@ -803,16 +677,19 @@ impl PimArrayPool {
     /// recovery) and one span per participating array, all starting at
     /// the barrier entry so the viewer shows the slowest shard gating
     /// the phase. Called from the main thread after the barrier.
-    fn record_phase_spans(&self, label: &str, wall_start: u64, participants: &[(usize, u64)]) {
+    fn record_phase_spans(&self, label: &str, wall_start: u64, members: &[usize], deltas: &[u64]) {
+        if !self.telemetry.is_enabled() {
+            return;
+        }
         self.telemetry.record_span(
             TimeDomain::Cycles,
             "pool",
             label,
             wall_start,
             self.wall_cycles - wall_start,
-            &[("arrays", participants.len().to_string())],
+            &[("arrays", members.len().to_string())],
         );
-        for &(i, delta) in participants {
+        for (&i, &delta) in members.iter().zip(deltas) {
             if delta > 0 {
                 self.telemetry.record_span(
                     TimeDomain::Cycles,
@@ -1092,30 +969,17 @@ impl PimArrayPool {
     /// Accounting matches [`PimArrayPool::run_phase`] exactly when no
     /// recovery triggers (max healthy-shard delta + sync when more than
     /// one healthy array); retries and re-dispatches are serial and add
-    /// their full cycle delta to the wall clock.
+    /// their full cycle delta to the wall clock. Besides the spans of
+    /// [`PimArrayPool::run_phase`], recovery activity records
+    /// warning/error events (shard retries, quarantines, re-dispatches,
+    /// degraded accepts) and bumps the matching `pimvo_pool_*_total`
+    /// counters.
     ///
     /// # Errors
     ///
     /// [`PimError::AllArraysQuarantined`] when no healthy array remains,
     /// on entry or after quarantines during recovery.
-    pub fn run_phase_resilient<R, F>(&mut self, f: F) -> Result<Vec<R>, PimError>
-    where
-        R: Send,
-        F: Fn(usize, &mut PimMachine) -> R + Sync,
-    {
-        self.run_phase_resilient_labeled("phase", f)
-    }
-
-    /// [`PimArrayPool::run_phase_resilient`] with a phase label for
-    /// telemetry. Besides the spans of [`PimArrayPool::run_phase_labeled`],
-    /// recovery activity records warning/error events (shard retries,
-    /// quarantines, re-dispatches, degraded accepts) and bumps the
-    /// matching `pimvo_pool_*_total` counters.
-    pub fn run_phase_resilient_labeled<R, F>(
-        &mut self,
-        label: &str,
-        f: F,
-    ) -> Result<Vec<R>, PimError>
+    pub fn run_phase_resilient<R, F>(&mut self, label: &str, f: F) -> Result<Vec<R>, PimError>
     where
         R: Send,
         F: Fn(usize, &mut PimMachine) -> R + Sync,
@@ -1145,41 +1009,7 @@ impl PimArrayPool {
             .iter()
             .map(|&i| self.arrays[i].fault_row_log().clone())
             .collect();
-        let mut results: Vec<R> = if healthy.len() == 1 {
-            vec![f(0, &mut self.arrays[healthy[0]])]
-        } else {
-            let quarantined = &self.quarantined;
-            std::thread::scope(|s| {
-                let handles: Vec<_> = self
-                    .arrays
-                    .iter_mut()
-                    .enumerate()
-                    .filter(|(i, _)| !quarantined[*i])
-                    .enumerate()
-                    .map(|(shard, (_i, m))| {
-                        let f = &f;
-                        s.spawn(move || f(shard, m))
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("pool shard thread panicked"))
-                    .collect()
-            })
-        };
-        let wave_deltas: Vec<u64> = healthy.iter().map(|&i| self.take_timeline(i)).collect();
-        let max_delta = wave_deltas.iter().copied().max().unwrap_or(0);
-        self.wall_cycles += max_delta;
-        if healthy.len() > 1 {
-            self.wall_cycles += self.sync_cycles;
-            self.barriers += 1;
-        }
-        let sync = if healthy.len() > 1 {
-            self.sync_cycles
-        } else {
-            0
-        };
-        self.op_sync_point(sync, &healthy);
+        let (mut results, wave_deltas) = self.run_wave(&healthy, &f);
 
         // serial recovery pass, in shard order (deterministic)
         for shard in 0..healthy.len() {
@@ -1274,14 +1104,7 @@ impl PimArrayPool {
                 }
             }
         }
-        if self.telemetry.is_enabled() {
-            let participants: Vec<(usize, u64)> = healthy
-                .iter()
-                .copied()
-                .zip(wave_deltas.iter().copied())
-                .collect();
-            self.record_phase_spans(label, wall_start, &participants);
-        }
+        self.record_phase_spans(label, wall_start, &healthy, &wave_deltas);
         Ok(results)
     }
 
@@ -1523,18 +1346,27 @@ mod tests {
         }
         // two phases with skewed shard lengths: the critical path must
         // thread the slowest shard of each phase plus both barriers
-        p.run_phase(|i, m| {
+        p.run_phase("phase", |i, m| {
             for _ in 0..=i {
                 m.add(Operand::Row(0), Operand::Row(0));
             }
         });
-        p.run_phase(|_, m| {
+        p.run_phase("phase", |_, m| {
             m.add(Operand::Row(0), Operand::Row(0));
         });
         let trace = p.drain_op_trace().expect("armed pool drains a trace");
         assert_eq!(trace.dropped, 0);
         let prof = pimvo_telemetry::optrace::profile(&trace);
         assert_eq!(prof.critical_path_cycles, p.wall_cycles());
+
+        // the session stamp reaches every stream, DMA lanes included
+        p.set_dma(Some(DmaConfig::default()));
+        p.set_op_session(5);
+        p.array_mut(0).host_write_lanes(1, &[7]).unwrap();
+        p.dma_settle();
+        let trace = p.drain_op_trace().expect("armed pool drains a trace");
+        assert!(trace.records.iter().any(|r| r.array & DMA_LANE_BASE != 0));
+        assert!(trace.records.iter().all(|r| r.session == 5));
     }
 
     #[test]
@@ -1547,7 +1379,7 @@ mod tests {
             for i in 0..2 {
                 p.array_mut(i).host_write_lanes(0, &[5, 6]).unwrap();
             }
-            let out = p.run_phase(|_, m| {
+            let out = p.run_phase("phase", |_, m| {
                 m.add(Operand::Row(0), Operand::Row(0));
                 m.tmp_lanes()[0]
             });
@@ -1566,7 +1398,7 @@ mod tests {
         // top of the (equal) host-transfer cost of the strip loads,
         // absorbed at this first barrier via the timeline watermarks
         let io = p.array(0).cost_model().transfer_cycles(3);
-        p.run_phase(|i, m| {
+        p.run_phase("phase", |i, m| {
             for _ in 0..=i {
                 m.add(Operand::Row(0), Operand::Row(0));
             }
@@ -1581,7 +1413,7 @@ mod tests {
     fn single_array_pool_matches_bare_machine() {
         let mut p = pool(1);
         p.array_mut(0).host_write_lanes(0, &[5, 6]).unwrap();
-        p.run_phase(|_, m| {
+        p.run_phase("phase", |_, m| {
             m.add(Operand::Row(0), Operand::Row(0));
             m.writeback(1);
         });
@@ -1598,7 +1430,7 @@ mod tests {
     #[test]
     fn phase_results_in_array_order() {
         let mut p = pool(4);
-        let ids = p.run_phase(|i, _| i);
+        let ids = p.run_phase("phase", |i, _| i);
         assert_eq!(ids, vec![0, 1, 2, 3]);
     }
 
@@ -1655,7 +1487,7 @@ mod tests {
     #[test]
     fn reset_clears_wall_clock() {
         let mut p = pool(2);
-        p.run_phase(|_, m| {
+        p.run_phase("phase", |_, m| {
             m.host_broadcast(0, 7).unwrap();
             m.load(Operand::Row(0));
         });
@@ -1681,7 +1513,7 @@ mod tests {
         for i in 0..2 {
             p.array_mut(i).host_write_lanes(0, &[1, 2]).unwrap();
         }
-        p.run_phase_labeled("lpf_pass1", |i, m| {
+        p.run_phase("lpf_pass1", |i, m| {
             for _ in 0..=i {
                 m.add(Operand::Row(0), Operand::Row(0));
             }
@@ -1718,12 +1550,12 @@ mod tests {
             m.host_read_lanes(1)[0]
         };
         let mut off = pool(3);
-        let r_off = off.run_phase_labeled("s", shard);
+        let r_off = off.run_phase("s", shard);
         let mut on = pool(3);
         on.set_telemetry(Telemetry::with_clock(Box::new(
             pimvo_telemetry::ManualClock::with_step(1),
         )));
-        let r_on = on.run_phase_labeled("s", shard);
+        let r_on = on.run_phase("s", shard);
         assert_eq!(r_off, r_on);
         assert_eq!(off.wall_cycles(), on.wall_cycles());
         assert_eq!(off.merged_stats(), on.merged_stats());
@@ -1735,7 +1567,7 @@ mod tests {
         let mut p = pool(3);
         p.set_telemetry(tele.clone());
         p.try_quarantine(1).unwrap();
-        p.run_phase_labeled("s", |_, m| {
+        p.run_phase("s", |_, m| {
             m.host_broadcast(0, 1).unwrap();
             m.load(Operand::Row(0));
         });
@@ -1757,8 +1589,8 @@ mod tests {
             m.writeback(1);
             m.host_read_lanes(1)[0]
         };
-        let ra = a.run_phase(shard);
-        let rb = b.run_phase_resilient(shard).unwrap();
+        let ra = a.run_phase("phase", shard);
+        let rb = b.run_phase_resilient("phase", shard).unwrap();
         assert_eq!(ra, rb);
         assert_eq!(a.wall_cycles(), b.wall_cycles());
         assert_eq!(a.barriers(), b.barriers());
@@ -1778,16 +1610,33 @@ mod tests {
         assert_eq!(p.healthy_arrays(), vec![0, 2]);
         assert_eq!(p.healthy_len(), 2);
         // shard indices are dense over the healthy subset
-        let ids = p.run_phase_resilient(|shard, _| shard).unwrap();
+        let ids = p.run_phase_resilient("phase", |shard, _| shard).unwrap();
         assert_eq!(ids, vec![0, 1]);
         assert_eq!(p.health().healthy_count(), 2);
+
+        // run_phase still runs a quarantined array (strip kernels load
+        // each strip into a fixed array); run_phase_resilient skips it
+        p.try_quarantine(0).unwrap();
+        let add = |_: usize, m: &mut PimMachine| m.add(Operand::Row(0), Operand::Row(0));
+        let cycles = |p: &PimArrayPool| {
+            (0..3)
+                .map(|i| p.array(i).stats().cycles)
+                .collect::<Vec<_>>()
+        };
+        let c0 = cycles(&p);
+        assert_eq!(p.run_phase("strips", add).len(), 3);
+        let c1 = cycles(&p);
+        assert!((0..3).all(|i| c1[i] == c0[i] + 1));
+        assert_eq!(p.run_phase_resilient("shards", add).unwrap().len(), 1);
+        let c2 = cycles(&p);
+        assert_eq!(c2, vec![c1[0], c1[1], c1[2] + 1]);
     }
 
     #[test]
     fn single_healthy_array_charges_no_sync() {
         let mut p = pool(2);
         p.try_quarantine(0).unwrap();
-        p.run_phase_resilient(|_, m| {
+        p.run_phase_resilient("phase", |_, m| {
             m.host_write_lanes(0, &[1]).unwrap();
             m.add(Operand::Row(0), Operand::Row(0));
         })
@@ -1802,7 +1651,7 @@ mod tests {
         let mut p = pool(2);
         p.try_quarantine(0).unwrap();
         p.try_quarantine(1).unwrap();
-        let err = p.run_phase_resilient(|_, _| ()).unwrap_err();
+        let err = p.run_phase_resilient("phase", |_, _| ()).unwrap_err();
         assert!(matches!(err, PimError::AllArraysQuarantined { arrays: 2 }));
         assert!(err.to_string().contains("quarantined"));
     }
@@ -1834,7 +1683,7 @@ mod tests {
         // each charging a verify-on-read patrol
         let ecc0 = p.merged_stats().ecc_checks;
         for _ in 0..ScrubConfig::default().probation_phases {
-            p.run_phase_resilient(|_, m| {
+            p.run_phase_resilient("phase", |_, m| {
                 m.host_broadcast(0, 1).unwrap();
                 m.load(Operand::Row(0));
             })
@@ -1864,7 +1713,7 @@ mod tests {
         p.try_quarantine(1).unwrap();
         // the automatic scrub runs before the healthy check, so the
         // phase succeeds instead of AllArraysQuarantined
-        let ids = p.run_phase_resilient(|shard, _| shard).unwrap();
+        let ids = p.run_phase_resilient("phase", |shard, _| shard).unwrap();
         assert_eq!(ids, vec![0, 1]);
         assert_eq!(p.health().rehabilitated, 2);
     }
@@ -1937,7 +1786,7 @@ mod tests {
             assert!(!p.array(0).fault_model().is_none());
             p.array_mut(1).set_fault_model(FaultModel::none());
             let out = p
-                .run_phase_resilient(|shard, m| {
+                .run_phase_resilient("phase", |shard, m| {
                     // self-contained: write rows 0/1 (zeros, so the stuck
                     // bits differ from the stored data), then compute
                     m.host_write_lanes(0, &[0, 0]).unwrap();
@@ -1956,7 +1805,7 @@ mod tests {
             assert_eq!(h.redispatches, 1);
             assert!(h.total_detected() > 0);
             // further phases keep running on the surviving array
-            let again = p.run_phase_resilient(|shard, _| shard).unwrap();
+            let again = p.run_phase_resilient("phase", |shard, _| shard).unwrap();
             assert_eq!(again, vec![0]);
         }
 
@@ -1978,7 +1827,7 @@ mod tests {
             assert_eq!(h.total_remapped_rows(), 1);
             // the repaired array reads the remapped row cleanly
             let lanes = p
-                .run_phase_resilient(|_, m| {
+                .run_phase_resilient("phase", |_, m| {
                     m.host_write_lanes(3, &[0, 0]).unwrap();
                     m.host_read_lanes(3)[0]
                 })
@@ -2002,7 +1851,7 @@ mod tests {
                 .fault(FaultModel::transient(7, 0.02))
                 .protection(Protection::Parity);
             let mut p = builder.build_pool(2);
-            let lanes = p.run_phase(|_, m| {
+            let lanes = p.run_phase("phase", |_, m| {
                 m.host_write_lanes(0, &[11, 22, 33, 44]).unwrap();
                 m.load(Operand::Row(0));
                 m.tmp_lanes()[..4].to_vec()

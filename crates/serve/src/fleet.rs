@@ -1476,6 +1476,7 @@ mod tests {
         for f in &dump.frames {
             assert!(!f.trace.is_empty());
             assert_eq!(f.trace.dropped, 0);
+            assert!(f.trace.records.iter().all(|r| r.session == 1));
             // the dependency DAG reproduces the frame's wall clock: the
             // critical path through the barrier chain is exactly the
             // pool cycles the scheduler charged this frame

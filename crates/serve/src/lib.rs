@@ -6,8 +6,9 @@
 //! The paper's PIM-SRAM tracker is a single-session device. This crate
 //! is the "millions of users" step of the roadmap: a deterministic
 //! fleet scheduler that multiplexes N [`pimvo_core::Tracker`] sessions
-//! over a shared array pool, built on the job-queue submission API of
-//! [`pimvo_pim::PoolExecutor`].
+//! over a shared array pool; each frame runs to completion on the
+//! pool's labeled phases ([`pimvo_pim::PimArrayPool::run_phase`],
+//! [`pimvo_pim::PimArrayPool::run_phase_resilient`]).
 //!
 //! # Model
 //!

@@ -3,11 +3,11 @@
 //! The simulator's [`crate::Telemetry`] spans answer *"how long did
 //! this phase take"*; this module answers *"which macro-ops, rows and
 //! host transfers burned the budget, and in what order"*. Producers
-//! (the `pimvo-pim` machine/pool/executor layer) emit one fixed-size
+//! (the `pimvo-pim` machine and pool layers) emit one fixed-size
 //! [`OpRecord`] per macro-op with explicit dependency edges — row RAW /
-//! WAR within an array, wave barriers and job ordering across arrays,
-//! host load/store ↔ compute — and this module owns everything
-//! downstream of that stream:
+//! WAR within an array, phase barriers across arrays, host load/store
+//! ↔ compute — and this module owns everything downstream of that
+//! stream:
 //!
 //! * the **versioned little-endian binary codec** ([`OpTrace::encode`] /
 //!   [`OpTrace::decode`]), byte-deterministic and CRC-checked:

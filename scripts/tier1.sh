@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Tier-1 verification: what every PR must keep green.
 #
-#   fmt check -> build (release) -> workspace tests -> fault-feature
-#   tests -> clippy (-D warnings) -> rustdoc (-D warnings) -> IR golden
-#   snapshots
+#   fmt check -> build (release, plus pimbench) -> workspace tests ->
+#   fault-feature tests -> clippy (-D warnings) -> rustdoc (-D warnings)
+#   -> IR golden snapshots
 #
 # Every step is mandatory. The formatter and clippy gates run the
 # pinned workspace toolchain, so lint results are reproducible.
@@ -22,6 +22,10 @@ step() {
 
 step cargo fmt --check
 step cargo build --release
+# the benchmark package (its own workspace, under pimbench/) imports
+# the public API: removing something it uses must fail here, not only
+# when the benchmark runs
+step cargo build --release --offline --manifest-path pimbench/Cargo.toml
 step cargo test -q --workspace
 # the fault-injection layer is feature-gated off by default; test it
 # too, including the fleet fault-containment proptests in pimvo-serve
