@@ -164,6 +164,14 @@ pub struct PimMachine {
     /// persistent defect is remapped to a spare.
     remap: BTreeMap<usize, usize>,
     tmp: Vec<i64>,
+    /// Decode buffers for the operands of the macro-op in flight. They
+    /// keep their capacity across ops, so the lane datapath allocates
+    /// nothing per op; results are swapped into `tmp`.
+    opa: Vec<i64>,
+    opb: Vec<i64>,
+    /// Sensed copy of a row read through an armed fault unit (the
+    /// cells themselves are never corrupted by a read).
+    sensed: Vec<u8>,
     /// Logical bit width of the Tmp Reg contents (doubles after `mul`).
     tmp_bits: u32,
     /// Additional temporary registers (index 1..): `(lanes, bits)`.
@@ -342,6 +350,9 @@ impl PimMachine {
             spares_used: 0,
             remap: BTreeMap::new(),
             tmp: Vec::new(),
+            opa: Vec::new(),
+            opb: Vec::new(),
+            sensed: Vec::new(),
             tmp_bits: 8,
             extra_regs: Vec::new(),
             width: LaneWidth::W8,
@@ -714,14 +725,16 @@ impl PimMachine {
         if self.tmp.is_empty() {
             return Err(PimError::TmpEmpty);
         }
-        self.extra_regs[slot] = (self.tmp.clone(), self.tmp_bits);
+        let reg = &mut self.extra_regs[slot];
+        reg.0.clone_from(&self.tmp);
+        reg.1 = self.tmp_bits;
         let cycle_start = self.stats.cycles;
         self.stats.cycles += 1;
         self.stats.acc_ops += 1;
         self.stats.tmp_accesses += 2;
         self.record_trace(
             OpClass::Select,
-            format!("save_tmp reg{idx}"),
+            || format!("save_tmp reg{idx}"),
             cycle_start,
             1,
             0,
@@ -856,35 +869,7 @@ impl PimMachine {
     /// [`PimError::TooManyLanes`] when `values` exceeds the lane count —
     /// the same contract as [`PimMachine::host_write_bytes`].
     pub fn host_write_lanes(&mut self, row: usize, values: &[i64]) -> Result<(), PimError> {
-        let lanes = self.lanes();
-        if values.len() > lanes {
-            return Err(PimError::TooManyLanes {
-                got: values.len(),
-                lanes,
-            });
-        }
-        self.check_row(row)?;
-        let bits = self.width.bits();
-        let bytes = self.width.bytes();
-        let phys = self.phys_row(row);
-        // encode into a scratch wire image first: the transfer model
-        // needs the payload after the row borrow ends
-        let mut buf = vec![0u8; self.config.row_bytes()];
-        for (i, &v) in values.iter().enumerate() {
-            let raw = sat::wrap_unsigned(v, bits);
-            buf[i * bytes..(i + 1) * bytes].copy_from_slice(&raw.to_le_bytes()[..bytes]);
-        }
-        self.rows[phys].copy_from_slice(&buf);
-        // the wire moves only the valid lanes; the zero tail is a row
-        // clear strobe, not burst traffic
-        let moved = values.len() * bytes;
-        self.host_transfer(
-            self.transfer_kind,
-            row as u32,
-            &buf[..moved],
-            values.len() as u32,
-        );
-        Ok(())
+        self.write_lanes(row, values.iter().copied())
     }
 
     /// Fills every lane of a row with a constant (threshold rows etc.).
@@ -894,8 +879,38 @@ impl PimMachine {
     /// Returns [`PimError::RowOutOfRange`] for a bad row index.
     pub fn host_broadcast(&mut self, row: usize, value: i64) -> Result<(), PimError> {
         let lanes = self.lanes();
-        let vals = vec![value; lanes];
-        self.host_write_lanes(row, &vals)
+        self.write_lanes(row, std::iter::repeat_n(value, lanes))
+    }
+
+    /// [`PimMachine::host_write_lanes`] over any exact-size value source.
+    fn write_lanes(
+        &mut self,
+        row: usize,
+        values: impl ExactSizeIterator<Item = i64>,
+    ) -> Result<(), PimError> {
+        let lanes = self.lanes();
+        let n = values.len();
+        if n > lanes {
+            return Err(PimError::TooManyLanes { got: n, lanes });
+        }
+        self.check_row(row)?;
+        let phys = self.phys_row(row);
+        encode_lanes(&mut self.rows[phys], values, self.width);
+        // the wire moves only the valid lanes; the zero tail is a row
+        // clear strobe, not burst traffic
+        let moved = n * self.width.bytes();
+        self.transfer_row(self.transfer_kind, row, moved, n as u32);
+        Ok(())
+    }
+
+    /// Issues a host transfer whose wire image is the first `len` bytes
+    /// of logical `row`'s cells. The row is lent to the transfer model
+    /// (which reads only the payload) instead of being copied.
+    fn transfer_row(&mut self, kind: TransferKind, row: usize, len: usize, size: u32) {
+        let phys = self.phys_row(row);
+        let cells = std::mem::take(&mut self.rows[phys]);
+        self.host_transfer(kind, row as u32, &cells[..len], size);
+        self.rows[phys] = cells;
     }
 
     /// Reads a row's lane values at the current configuration.
@@ -905,14 +920,13 @@ impl PimMachine {
     /// Returns [`PimError::RowOutOfRange`] for a bad row index.
     pub fn try_host_read_lanes(&mut self, row: usize) -> Result<Vec<i64>, PimError> {
         self.check_row(row)?;
-        let lanes = self.lanes() as u32;
-        let vals = self.read_row(row, true);
-        // snapshot the row's wire image for the outbound descriptor
-        // (the channel reads the burst buffer at issue; the host sees
-        // the values now, the port pays for them on its own clock)
-        let phys = self.phys_row(row);
-        let payload = self.rows[phys].clone();
-        self.host_transfer(TransferKind::StripOut, row as u32, &payload, lanes);
+        let mut vals = Vec::new();
+        self.sense_row(row, true, 0, &mut vals);
+        // the row's cells are the outbound descriptor's wire image (the
+        // channel reads the burst buffer at issue; the host sees the
+        // values now, the port pays for them on its own clock)
+        let len = self.config.row_bytes();
+        self.transfer_row(TransferKind::StripOut, row, len, vals.len() as u32);
         Ok(vals)
     }
 
@@ -1128,60 +1142,60 @@ impl PimMachine {
         shift: Shift,
     ) -> Result<(), PimError> {
         let b_pix = shift.pix();
-        let bits = self.op_bits(a, b);
+        let bits = self.op_bits(a, b)?;
         let sign = self.sign;
         match op {
             AluOp::Logic(f) => {
                 let mask = width_mask(bits);
-                self.binop(OpClass::Logic, a, b, b_pix, bits, move |x, y, _| {
+                self.binop(OpClass::Logic, a, b, b_pix, bits, move |x, y| {
                     let r = f.apply(x as u64 & mask, y as u64 & mask) & mask;
                     r as i64
                 })?;
             }
             AluOp::Add => {
-                self.binop(OpClass::AddSub, a, b, b_pix, bits, move |x, y, _| {
+                self.binop(OpClass::AddSub, a, b, b_pix, bits, move |x, y| {
                     wrap(x + y, bits, sign)
                 })?;
             }
             AluOp::Sub => {
-                self.binop(OpClass::AddSub, a, b, b_pix, bits, move |x, y, _| {
+                self.binop(OpClass::AddSub, a, b, b_pix, bits, move |x, y| {
                     wrap(x - y, bits, sign)
                 })?;
             }
             AluOp::SatAdd => {
-                self.binop(OpClass::SatAddSub, a, b, b_pix, bits, move |x, y, _| {
+                self.binop(OpClass::SatAddSub, a, b, b_pix, bits, move |x, y| {
                     clamp(x + y, bits, sign)
                 })?;
             }
             AluOp::SatSub => {
-                self.binop(OpClass::SatAddSub, a, b, b_pix, bits, move |x, y, _| {
+                self.binop(OpClass::SatAddSub, a, b, b_pix, bits, move |x, y| {
                     clamp(x - y, bits, sign)
                 })?;
             }
             AluOp::Avg => {
-                self.binop(OpClass::Avg, a, b, b_pix, bits, |x, y, _| (x + y) >> 1)?;
+                self.binop(OpClass::Avg, a, b, b_pix, bits, |x, y| (x + y) >> 1)?;
             }
             AluOp::AbsDiff => {
                 // Step 1: M = a - b (+ carry extension), SRAM-touching.
                 // Steps 2-3: Tmp-resident single-cycle fixups (Fig. 7-a).
-                self.binop(OpClass::AbsDiff, a, b, b_pix, bits, move |x, y, _| {
+                self.binop(OpClass::AbsDiff, a, b, b_pix, bits, move |x, y| {
                     clamp((x - y).abs(), bits, sign)
                 })?;
                 self.charge_tmp_steps(2);
             }
             AluOp::Max => {
                 // max(a, b) = sat(a - b) + b (Fig. 7-b)
-                self.binop(OpClass::MinMax, a, b, b_pix, bits, |x, y, _| x.max(y))?;
+                self.binop(OpClass::MinMax, a, b, b_pix, bits, |x, y| x.max(y))?;
                 self.charge_tmp_steps(1);
             }
             AluOp::Min => {
                 // min(a, b) = a - sat(a - b)
-                self.binop(OpClass::MinMax, a, b, b_pix, bits, |x, y, _| x.min(y))?;
+                self.binop(OpClass::MinMax, a, b, b_pix, bits, |x, y| x.min(y))?;
                 self.charge_tmp_steps(1);
             }
             AluOp::CmpGt => {
                 let mask = width_mask(bits) as i64;
-                self.binop(OpClass::Cmp, a, b, b_pix, bits, move |x, y, _| {
+                self.binop(OpClass::Cmp, a, b, b_pix, bits, move |x, y| {
                     if x > y {
                         mask
                     } else {
@@ -1325,8 +1339,8 @@ impl PimMachine {
     ///
     /// Propagates operand errors (see [`PimMachine::try_alu`]).
     pub fn try_shift_pix(&mut self, a: Operand, pix: i32) -> Result<(), PimError> {
-        let bits = self.op_bits(a, a);
-        self.unop(OpClass::Shift, a, bits, move |vals| shift_lanes(vals, pix))
+        let bits = self.op_bits(a, a)?;
+        self.unop(OpClass::Shift, a, pix, bits, |v| v)
     }
 
     /// Arithmetic/logical right shift of every lane by `k` bits
@@ -1341,15 +1355,11 @@ impl PimMachine {
     ///
     /// Propagates operand errors (see [`PimMachine::try_alu`]).
     pub fn try_shr_bits(&mut self, a: Operand, k: u32) -> Result<(), PimError> {
-        let bits = self.op_bits(a, a);
+        let bits = self.op_bits(a, a)?;
         let sign = self.sign;
-        self.unop(OpClass::Shift, a, bits, move |vals| {
-            vals.iter()
-                .map(|&v| match sign {
-                    Signedness::Signed => v >> k,
-                    Signedness::Unsigned => ((v as u64) >> k) as i64,
-                })
-                .collect()
+        self.unop(OpClass::Shift, a, 0, bits, move |v| match sign {
+            Signedness::Signed => v >> k,
+            Signedness::Unsigned => ((v as u64) >> k) as i64,
         })
     }
 
@@ -1364,10 +1374,10 @@ impl PimMachine {
     ///
     /// Propagates operand errors (see [`PimMachine::try_alu`]).
     pub fn try_shl_bits(&mut self, a: Operand, k: u32) -> Result<(), PimError> {
-        let bits = self.op_bits(a, a);
+        let bits = self.op_bits(a, a)?;
         let sign = self.sign;
-        self.unop(OpClass::Shift, a, bits, move |vals| {
-            vals.iter().map(|&v| wrap(v << k, bits, sign)).collect()
+        self.unop(OpClass::Shift, a, 0, bits, move |v| {
+            wrap(v << k, bits, sign)
         })
     }
 
@@ -1405,7 +1415,7 @@ impl PimMachine {
         let n = self.width.bits();
         let mask = width_mask(n);
         let bits = n; // operands at lane width
-        self.binop(OpClass::Mul, a, b, 0, bits, move |x, y, _| {
+        self.binop(OpClass::Mul, a, b, 0, bits, move |x, y| {
             let p = (x as u64 & mask).wrapping_mul(y as u64 & mask);
             p as i64 // 2n <= 64 bits
         })?;
@@ -1431,7 +1441,7 @@ impl PimMachine {
     /// Propagates operand errors (see [`PimMachine::try_alu`]).
     pub fn try_mul_signed(&mut self, a: Operand, b: Operand) -> Result<(), PimError> {
         let n = self.width.bits();
-        self.binop(OpClass::Mul, a, b, 0, n, move |x, y, _| {
+        self.binop(OpClass::Mul, a, b, 0, n, move |x, y| {
             (x as i128 * y as i128) as i64 // 2n <= 64 bits exact
         })?;
         self.tmp_bits = (2 * n).min(64);
@@ -1460,7 +1470,7 @@ impl PimMachine {
     pub fn try_div(&mut self, a: Operand, b: Operand) -> Result<(), PimError> {
         let n = self.width.bits();
         let mask = width_mask(n);
-        self.binop(OpClass::Div, a, b, 0, n, move |x, y, _| {
+        self.binop(OpClass::Div, a, b, 0, n, move |x, y| {
             let (x, y) = (x as u64 & mask, y as u64 & mask);
             if y == 0 {
                 mask as i64
@@ -1487,7 +1497,7 @@ impl PimMachine {
     pub fn try_rem(&mut self, a: Operand, b: Operand) -> Result<(), PimError> {
         let n = self.width.bits();
         let mask = width_mask(n);
-        self.binop(OpClass::Div, a, b, 0, n, move |x, y, _| {
+        self.binop(OpClass::Div, a, b, 0, n, move |x, y| {
             let (x, y) = (x as u64 & mask, y as u64 & mask);
             if y == 0 {
                 x as i64
@@ -1515,7 +1525,7 @@ impl PimMachine {
     /// Propagates operand errors (see [`PimMachine::try_alu`]).
     pub fn try_div_signed(&mut self, a: Operand, b: Operand) -> Result<(), PimError> {
         let n = self.width.bits();
-        self.binop(OpClass::Div, a, b, 0, n, move |x, y, _| {
+        self.binop(OpClass::Div, a, b, 0, n, move |x, y| {
             if y == 0 {
                 if x >= 0 {
                     (1i64 << (n - 1)) - 1
@@ -1550,7 +1560,7 @@ impl PimMachine {
     pub fn try_div_frac(&mut self, a: Operand, b: Operand, frac: u32) -> Result<(), PimError> {
         let n = self.width.bits();
         let mask = width_mask(n);
-        self.binop(OpClass::Div, a, b, 0, n + frac, move |x, y, _| {
+        self.binop(OpClass::Div, a, b, 0, n + frac, move |x, y| {
             let (x, y) = ((x as u64 & mask) as u128, (y as u64 & mask) as u128);
             if y == 0 {
                 width_mask(n + frac) as i64
@@ -1588,7 +1598,7 @@ impl PimMachine {
     ) -> Result<(), PimError> {
         let n = self.width.bits();
         let out_bits = (n + frac).min(64);
-        self.binop(OpClass::Div, a, b, 0, out_bits, move |x, y, _| {
+        self.binop(OpClass::Div, a, b, 0, out_bits, move |x, y| {
             if y == 0 {
                 let max = (1i64 << (out_bits - 1)) - 1;
                 if x >= 0 {
@@ -1620,11 +1630,9 @@ impl PimMachine {
     ///
     /// Propagates operand errors (see [`PimMachine::try_alu`]).
     pub fn try_neg(&mut self, a: Operand) -> Result<(), PimError> {
-        let bits = self.op_bits(a, a);
+        let bits = self.op_bits(a, a)?;
         let sign = self.sign;
-        self.unop(OpClass::AddSub, a, bits, move |vals| {
-            vals.iter().map(|&v| wrap(-v, bits, sign)).collect()
-        })
+        self.unop(OpClass::AddSub, a, 0, bits, move |v| wrap(-v, bits, sign))
     }
 
     /// Saturating narrowing of the Tmp/row contents to `bits` wide
@@ -1641,8 +1649,8 @@ impl PimMachine {
     ///
     /// Propagates operand errors (see [`PimMachine::try_alu`]).
     pub fn try_sat_narrow(&mut self, a: Operand, bits: u32) -> Result<(), PimError> {
-        self.unop(OpClass::SatAddSub, a, bits, move |vals| {
-            vals.iter().map(|&v| sat::clamp_signed(v, bits)).collect()
+        self.unop(OpClass::SatAddSub, a, 0, bits, move |v| {
+            sat::clamp_signed(v, bits)
         })
     }
 
@@ -1665,19 +1673,13 @@ impl PimMachine {
     /// [`PimError::TmpEmpty`] when the Tmp Reg holds no value.
     pub fn try_writeback(&mut self, dst: usize) -> Result<(), PimError> {
         self.check_row(dst)?;
-        let bits = self.width.bits();
-        let bytes = self.width.bytes();
         if self.tmp.is_empty() {
             return Err(PimError::TmpEmpty);
         }
         let lanes = self.lanes();
-        let mut data = vec![0u8; self.config.row_bytes()];
-        for (i, &v) in self.tmp.iter().take(lanes).enumerate() {
-            let raw = sat::wrap_unsigned(v, bits);
-            data[i * bytes..(i + 1) * bytes].copy_from_slice(&raw.to_le_bytes()[..bytes]);
-        }
         let phys = self.phys_row(dst);
-        self.rows[phys] = data;
+        let values = self.tmp.iter().copied().take(lanes);
+        encode_lanes(&mut self.rows[phys], values, self.width);
         let cycle_start = self.stats.cycles;
         self.stats.cycles += 1;
         self.stats.sram_writes += 1;
@@ -1685,7 +1687,7 @@ impl PimMachine {
         self.stats.record_op(OpClass::WriteBack);
         self.record_trace(
             OpClass::WriteBack,
-            format!("writeback r{dst}"),
+            || format!("writeback r{dst}"),
             cycle_start,
             1,
             0,
@@ -1748,7 +1750,7 @@ impl PimMachine {
         self.stats.record_op(OpClass::Reduce);
         self.record_trace(
             OpClass::Reduce,
-            format!("reduce_sum x{lanes}"),
+            || format!("reduce_sum x{lanes}"),
             cycle_start,
             steps,
             0,
@@ -1783,11 +1785,12 @@ impl PimMachine {
             self.check_row(row)?;
         }
         let mut out = Vec::with_capacity(addresses.len());
+        let mut vals = std::mem::take(&mut self.opa);
         for &(row, lane) in addresses {
-            let vals = self.read_row(row, false);
-            let v = vals.get(lane).copied().unwrap_or(0);
-            out.push(v);
+            self.sense_row(row, false, 0, &mut vals);
+            out.push(vals.get(lane).copied().unwrap_or(0));
         }
+        self.opa = vals;
         let n = addresses.len() as u64;
         let cycle_start = self.stats.cycles;
         self.stats.cycles += n;
@@ -1796,7 +1799,7 @@ impl PimMachine {
         self.stats.record_op(OpClass::Gather);
         self.record_trace(
             OpClass::Gather,
-            format!("gather x{n}"),
+            || format!("gather x{n}"),
             cycle_start,
             n,
             n,
@@ -1918,28 +1921,6 @@ impl PimMachine {
         }
     }
 
-    fn decode_bytes(&self, data: &[u8]) -> Vec<i64> {
-        let bits = self.width.bits();
-        let bytes = self.width.bytes();
-        let lanes = self.lanes();
-        let mut out = Vec::with_capacity(lanes);
-        for i in 0..lanes {
-            let mut buf = [0u8; 8];
-            buf[..bytes].copy_from_slice(&data[i * bytes..(i + 1) * bytes]);
-            let raw = u64::from_le_bytes(buf);
-            let v = match self.sign {
-                Signedness::Unsigned => raw as i64,
-                Signedness::Signed => sat::wrap_signed(raw as i64, bits),
-            };
-            out.push(v);
-        }
-        out
-    }
-
-    fn decode_row(&self, row: usize) -> Vec<i64> {
-        self.decode_bytes(&self.rows[self.phys_row(row)])
-    }
-
     /// Resolves a logical row to its physical storage row through the
     /// remap table. Identity (and branch-predictable) while the table
     /// is empty, so un-remapped machines pay nothing.
@@ -1952,22 +1933,26 @@ impl PimMachine {
         }
     }
 
-    /// Reads a row through the sense amplifiers, applying the fault
-    /// model and word protection when configured. The default (inert
-    /// fault unit) takes the historical fast path untouched — bit- and
-    /// cycle-identical to a build without the fault layer. Transient
-    /// upsets corrupt the *sensed copy* only; cell contents stay intact.
-    fn read_row(&mut self, row: usize, host: bool) -> Vec<i64> {
-        debug_assert!(row < self.config.rows, "read_row caller must check_row");
-        if self.fault.is_inert() {
-            return self.decode_row(row);
-        }
+    /// Reads logical `row` through the sense amplifiers into `dst` as
+    /// lane values at the current configuration, lane `i` receiving
+    /// lane `i + pix` (zero past the row edge). The default (inert
+    /// fault unit) decodes straight from the cells. An armed unit
+    /// applies the fault model and word protection to a sensed copy:
+    /// transient upsets corrupt the copy only, cell contents stay
+    /// intact.
+    fn sense_row(&mut self, row: usize, host: bool, pix: i32, dst: &mut Vec<i64>) {
+        debug_assert!(row < self.config.rows, "sense_row caller must check_row");
+        let lanes = self.lanes();
         // faults live with the *physical* cells: a logical row remapped
         // to a spare escapes the defective row's stuck bits
         let phys = self.phys_row(row);
-        let mut data = self.rows[phys].clone();
-        self.fault.apply_to_read(phys, &mut data, host);
-        self.decode_bytes(&data)
+        if self.fault.is_inert() {
+            decode_lanes(dst, &self.rows[phys], lanes, self.width, self.sign, pix);
+        } else {
+            self.sensed.clone_from(&self.rows[phys]);
+            self.fault.apply_to_read(phys, &mut self.sensed, host);
+            decode_lanes(dst, &self.sensed, lanes, self.width, self.sign, pix);
+        }
     }
 
     /// Charges the word-protection overhead of `accesses` protected
@@ -2000,61 +1985,64 @@ impl PimMachine {
         }
     }
 
-    fn operand_values(&mut self, op: Operand) -> Result<Vec<i64>, PimError> {
-        match op {
-            Operand::Row(r) => {
-                self.check_row(r)?;
-                Ok(self.read_row(r, false))
-            }
+    /// Validates a register operand ([`Operand::Tmp`] or
+    /// [`Operand::Reg`]) and returns its lanes and the logical bit width
+    /// of its contents.
+    fn register(&self, op: Operand) -> Result<(&[i64], u32), PimError> {
+        let (vals, bits) = match op {
             Operand::Tmp => {
                 if self.tmp.is_empty() {
                     return Err(PimError::TmpEmpty);
                 }
-                Ok(self.tmp.clone())
+                (&self.tmp, self.tmp_bits)
             }
+            Operand::Reg(0) => return Err(PimError::RegisterZero),
             Operand::Reg(i) => {
-                if i == 0 {
-                    return Err(PimError::RegisterZero);
-                }
-                let slot = (i - 1) as usize;
-                if slot >= self.extra_regs.len() {
+                let Some((vals, bits)) = self.extra_regs.get(usize::from(i) - 1) else {
                     return Err(PimError::RegisterNotEnabled {
                         idx: i,
                         enabled: self.tmp_reg_count(),
                     });
-                }
-                if self.extra_regs[slot].0.is_empty() {
+                };
+                if vals.is_empty() {
                     return Err(PimError::RegisterEmpty { idx: i });
                 }
-                Ok(self.extra_regs[slot].0.clone())
+                (vals, *bits)
             }
-        }
+            Operand::Row(_) => unreachable!("a row operand is not a register"),
+        };
+        Ok((vals.as_slice(), bits))
     }
 
-    /// Logical bit width of a register operand's contents.
-    fn reg_bits(&self, op: Operand) -> u32 {
+    /// Validates an operand and returns the logical bit width of its
+    /// contents: the lane width for a row, the held width for a
+    /// register.
+    fn operand_bits(&self, op: Operand) -> Result<u32, PimError> {
         match op {
-            Operand::Tmp => self.tmp_bits,
-            Operand::Reg(i) => self
-                .extra_regs
-                .get((i - 1) as usize)
-                .map(|(_, b)| *b)
-                .unwrap_or(self.width.bits()),
-            Operand::Row(_) => self.width.bits(),
+            Operand::Row(r) => self.check_row(r).map(|()| self.width.bits()),
+            reg => self.register(reg).map(|(_, bits)| bits),
         }
     }
 
-    /// Width of an operation's operands: lane width, except that Tmp may
-    /// carry double-width contents after a multiplication.
-    fn op_bits(&self, a: Operand, b: Operand) -> u32 {
-        let mut bits = self.width.bits();
-        if a.is_reg() {
-            bits = bits.max(self.reg_bits(a));
+    /// Validates both operands and returns the width of the operation:
+    /// lane width, except that Tmp may carry double-width contents
+    /// after a multiplication.
+    fn op_bits(&self, a: Operand, b: Operand) -> Result<u32, PimError> {
+        let bits = self.operand_bits(a)?.max(self.operand_bits(b)?);
+        Ok(bits.max(self.width.bits()))
+    }
+
+    /// Loads an operand's lanes into `dst`, pre-shifted by `pix` lanes
+    /// (see [`PimMachine::shift_pix`]).
+    fn load_operand(&mut self, op: Operand, pix: i32, dst: &mut Vec<i64>) -> Result<(), PimError> {
+        match op {
+            Operand::Row(r) => {
+                self.check_row(r)?;
+                self.sense_row(r, false, pix, dst);
+            }
+            reg => shift_into(dst, self.register(reg)?.0, pix),
         }
-        if b.is_reg() {
-            bits = bits.max(self.reg_bits(b));
-        }
-        bits
+        Ok(())
     }
 
     /// Executes one single-cycle binary micro step and leaves the result
@@ -2066,21 +2054,21 @@ impl PimMachine {
         b: Operand,
         b_pix: i32,
         out_bits: u32,
-        f: impl Fn(i64, i64, usize) -> i64,
+        f: impl Fn(i64, i64) -> i64,
     ) -> Result<(), PimError> {
-        let av = self.operand_values(a)?;
-        let bv_raw = self.operand_values(b)?;
-        let bv = if b_pix != 0 {
-            shift_lanes(&bv_raw, b_pix)
-        } else {
-            bv_raw
-        };
-        let lanes = av.len().min(bv.len());
-        let mut out = Vec::with_capacity(lanes);
-        for i in 0..lanes {
-            out.push(f(av[i], bv[i], i));
+        // the operand buffers are taken out for the decode (an error
+        // leaves them empty; they regrow on the next op)
+        let mut av = std::mem::take(&mut self.opa);
+        let mut bv = std::mem::take(&mut self.opb);
+        self.load_operand(a, 0, &mut av)?;
+        self.load_operand(b, b_pix, &mut bv)?;
+        av.truncate(bv.len());
+        for (x, &y) in av.iter_mut().zip(&bv) {
+            *x = f(*x, y);
         }
-        self.tmp = out;
+        let lanes = av.len();
+        std::mem::swap(&mut self.tmp, &mut av);
+        (self.opa, self.opb) = (av, bv);
         self.tmp_bits = out_bits;
         // cycle/energy accounting
         let cycle_start = self.stats.cycles;
@@ -2094,7 +2082,7 @@ impl PimMachine {
         self.stats.record_op(class);
         self.record_trace(
             class,
-            format!("{} {}, {}", op_name(class), fmt_op(a), fmt_op(b)),
+            || format!("{} {}, {}", op_name(class), fmt_op(a), fmt_op(b)),
             cycle_start,
             1,
             sram,
@@ -2122,16 +2110,23 @@ impl PimMachine {
         Ok(())
     }
 
-    /// Executes one single-cycle unary micro step.
+    /// Executes one single-cycle unary micro step on operand `a`
+    /// pre-shifted by `pix` lanes.
     fn unop(
         &mut self,
         class: OpClass,
         a: Operand,
+        pix: i32,
         out_bits: u32,
-        f: impl Fn(&[i64]) -> Vec<i64>,
+        f: impl Fn(i64) -> i64,
     ) -> Result<(), PimError> {
-        let av = self.operand_values(a)?;
-        self.tmp = f(&av);
+        let mut av = std::mem::take(&mut self.opa);
+        self.load_operand(a, pix, &mut av)?;
+        for x in av.iter_mut() {
+            *x = f(*x);
+        }
+        std::mem::swap(&mut self.tmp, &mut av);
+        self.opa = av;
         self.tmp_bits = out_bits;
         let cycle_start = self.stats.cycles;
         self.stats.cycles += 1;
@@ -2142,7 +2137,7 @@ impl PimMachine {
         self.stats.record_op(class);
         self.record_trace(
             class,
-            format!("{} {}", op_name(class), fmt_op(a)),
+            || format!("{} {}", op_name(class), fmt_op(a)),
             cycle_start,
             1,
             sram,
@@ -2197,11 +2192,12 @@ impl PimMachine {
         self.charge_protection(sram);
     }
 
-    /// Appends a trace event when tracing is enabled.
+    /// Appends a trace event when tracing is enabled. The mnemonic is
+    /// built only then: an untraced op formats nothing.
     fn record_trace(
         &mut self,
         class: OpClass,
-        mnemonic: String,
+        mnemonic: impl FnOnce() -> String,
         cycle_start: u64,
         cycles: u64,
         sram_reads: u64,
@@ -2209,8 +2205,8 @@ impl PimMachine {
     ) {
         if let Some(trace) = &mut self.trace {
             let mnemonic = match &self.trace_label {
-                Some(label) => format!("{label} {mnemonic}"),
-                None => mnemonic,
+                Some(label) => format!("{label} {}", mnemonic()),
+                None => mnemonic(),
             };
             let seq = trace.next_seq();
             trace.push(TraceEvent {
@@ -2291,19 +2287,101 @@ fn fmt_op(op: Operand) -> String {
     }
 }
 
-/// Shift lane values: positive `pix` moves lane `i + pix` into lane `i`.
-fn shift_lanes(vals: &[i64], pix: i32) -> Vec<i64> {
-    let n = vals.len() as i64;
-    (0..n)
-        .map(|i| {
-            let src = i + pix as i64;
-            if src >= 0 && src < n {
-                vals[src as usize]
-            } else {
-                0
-            }
-        })
-        .collect()
+/// The destination lanes `lo..hi` of an `n`-lane operand shifted by
+/// `pix` that receive a source lane (`i + pix` inside `0..n`); the
+/// lanes outside the window shift in zeros.
+#[inline]
+fn shift_window(n: usize, pix: i32) -> (usize, usize) {
+    let (n, p) = (n as i64, i64::from(pix));
+    let lo = (-p).clamp(0, n);
+    let hi = (n - p).clamp(lo, n);
+    (lo as usize, hi as usize)
+}
+
+/// Copies register lanes into `dst`, lane `i` receiving `src[i + pix]`
+/// (zero past the edge).
+fn shift_into(dst: &mut Vec<i64>, src: &[i64], pix: i32) {
+    let (lo, hi) = shift_window(src.len(), pix);
+    dst.resize(src.len(), 0);
+    dst[..lo].fill(0);
+    dst[hi..].fill(0);
+    if lo < hi {
+        let s = (lo as i64 + i64::from(pix)) as usize;
+        dst[lo..hi].copy_from_slice(&src[s..s + (hi - lo)]);
+    }
+}
+
+/// Decodes `lanes` little-endian lanes of a row image into `dst` at
+/// `width`/`sign`, lane `i` receiving lane `i + pix` (zero past the
+/// edge). One monomorphic loop per width and signedness.
+fn decode_lanes(
+    dst: &mut Vec<i64>,
+    cells: &[u8],
+    lanes: usize,
+    width: LaneWidth,
+    sign: Signedness,
+    pix: i32,
+) {
+    let (lo, hi) = shift_window(lanes, pix);
+    dst.resize(lanes, 0);
+    dst[..lo].fill(0);
+    dst[hi..].fill(0);
+    if lo == hi {
+        return;
+    }
+    let out = &mut dst[lo..hi];
+    let src = &cells[(lo as i64 + i64::from(pix)) as usize * width.bytes()..];
+    match (width, sign) {
+        (LaneWidth::W8, Signedness::Unsigned) => decode_with(out, src, |[b]| i64::from(b)),
+        (LaneWidth::W8, Signedness::Signed) => decode_with(out, src, |[b]| i64::from(b as i8)),
+        (LaneWidth::W16, Signedness::Unsigned) => {
+            decode_with(out, src, |b| i64::from(u16::from_le_bytes(b)))
+        }
+        (LaneWidth::W16, Signedness::Signed) => {
+            decode_with(out, src, |b| i64::from(i16::from_le_bytes(b)))
+        }
+        (LaneWidth::W32, Signedness::Unsigned) => {
+            decode_with(out, src, |b| i64::from(u32::from_le_bytes(b)))
+        }
+        (LaneWidth::W32, Signedness::Signed) => {
+            decode_with(out, src, |b| i64::from(i32::from_le_bytes(b)))
+        }
+        // a 64-bit lane is its own two's-complement pattern either way
+        (LaneWidth::W64, _) => decode_with(out, src, i64::from_le_bytes),
+    }
+}
+
+#[inline]
+fn decode_with<const N: usize>(out: &mut [i64], src: &[u8], f: impl Fn([u8; N]) -> i64) {
+    for (d, &c) in out.iter_mut().zip(src.as_chunks::<N>().0) {
+        *d = f(c);
+    }
+}
+
+/// Encodes lane values little-endian into a row's cells at `width`,
+/// each wrapped to the lane; the cells past the last value are zeroed.
+fn encode_lanes(cells: &mut [u8], values: impl Iterator<Item = i64>, width: LaneWidth) {
+    // `as` truncation is the wrap to the lane width
+    match width {
+        LaneWidth::W8 => encode_with(cells, values, |v| [v as u8]),
+        LaneWidth::W16 => encode_with(cells, values, |v| (v as u16).to_le_bytes()),
+        LaneWidth::W32 => encode_with(cells, values, |v| (v as u32).to_le_bytes()),
+        LaneWidth::W64 => encode_with(cells, values, |v| v.to_le_bytes()),
+    }
+}
+
+#[inline]
+fn encode_with<const N: usize>(
+    cells: &mut [u8],
+    values: impl Iterator<Item = i64>,
+    f: impl Fn(i64) -> [u8; N],
+) {
+    let mut end = 0;
+    for (c, v) in cells.as_chunks_mut::<N>().0.iter_mut().zip(values) {
+        *c = f(v);
+        end += N;
+    }
+    cells[end..].fill(0);
 }
 
 #[inline]
@@ -2685,5 +2763,41 @@ mod multireg_tests {
         m.set_tmp_regs(2);
         m.host_write_lanes(0, &[1]).unwrap();
         m.add(Operand::Row(0), Operand::Reg(1));
+    }
+
+    #[test]
+    fn register_zero_operand_is_an_error_not_a_panic() {
+        let mut m = PimMachine::new(ArrayConfig::qvga());
+        m.host_write_lanes(0, &[1, 2, 3]).unwrap();
+        let before = m.stats().clone();
+        assert_eq!(
+            m.try_alu(AluOp::Add, Operand::Reg(0), Operand::Row(0), Shift::None),
+            Err(PimError::RegisterZero)
+        );
+        assert_eq!(
+            m.try_alu(AluOp::Sub, Operand::Row(0), Operand::Reg(0), Shift::Pix(1)),
+            Err(PimError::RegisterZero)
+        );
+        // nothing was charged for the rejected ops
+        assert_eq!(m.stats(), &before);
+    }
+
+    #[test]
+    fn register_zero_unary_operand_is_an_error_not_a_panic() {
+        let mut m = PimMachine::new(ArrayConfig::qvga());
+        m.host_write_lanes(0, &[1, 2, 3]).unwrap();
+        assert_eq!(
+            m.try_shift_pix(Operand::Reg(0), 1),
+            Err(PimError::RegisterZero)
+        );
+        assert_eq!(
+            m.try_shr_bits(Operand::Reg(0), 1),
+            Err(PimError::RegisterZero)
+        );
+        assert_eq!(
+            m.try_shl_bits(Operand::Reg(0), 1),
+            Err(PimError::RegisterZero)
+        );
+        assert_eq!(m.try_neg(Operand::Reg(0)), Err(PimError::RegisterZero));
     }
 }

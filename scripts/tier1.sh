@@ -2,6 +2,7 @@
 # Tier-1 verification: what every PR must keep green.
 #
 #   fmt check -> build (release, plus pimbench) -> workspace tests ->
+#   pimbench tests (release) ->
 #   fault-feature tests -> clippy (-D warnings) -> rustdoc (-D warnings)
 #   -> IR golden snapshots
 #
@@ -27,6 +28,10 @@ step cargo build --release
 # when the benchmark runs
 step cargo build --release --offline --manifest-path pimbench/Cargo.toml
 step cargo test -q --workspace
+# the benchmark's own tests are the end-to-end guard of the simulator:
+# every benchmark frame's edge mask against the scalar reference, and
+# sim metrics bit-identical across runs and traced/untraced
+step cargo test --release --offline --manifest-path pimbench/Cargo.toml
 # the fault-injection layer is feature-gated off by default; test it
 # too, including the fleet fault-containment proptests in pimvo-serve
 step cargo test -q --features fault -p pimvo-pim -p pimvo-core
