@@ -5,6 +5,15 @@
 //! `PimMachine::run_program` and reports simulated Mcycles per
 //! wall-second, best of [`REPS`] runs. The NMS mask is checked against
 //! the scalar reference first, so the timed path is the correct one.
+//!
+//! The pose-estimation side gets the same treatment: Mcycles per
+//! wall-second of each of the five pose programs (`pose_warp`,
+//! `pose_frac`, `pose_residual`, `pose_jacobian`, `pose_hessian`) on one
+//! 80-feature batch of the canonical frame, and `lm_batches_per_s`, the
+//! batches per wall-second of whole feature sets through
+//! `BatchRunner::submit`. Both are checked against the scalar quantized
+//! linearization first.
+//!
 //! Also reports the wall seconds of the `exp_all 30` work
 //! (`reports::all_with_reports(30)`, run in this process).
 //!
@@ -19,13 +28,22 @@
 //! these host-dependent numbers.
 
 use pimvo_bench::sink::{BenchReport, TelemetrySink};
+use pimvo_core::pim_exec::{
+    fold_batch, pose_programs, pose_scratch, run_batch, BatchOptions, BatchOutput, BatchRunner,
+    BATCH, POSE_BASE,
+};
+use pimvo_core::{
+    extract_features, Feature, Interp, Keyframe, PimBackend, QFeature, QNormalEquations, QPose,
+    TrackerBackend,
+};
 use pimvo_kernels::ir::{
-    downsample_program, hpf_program, lpf_pass1_program, lpf_pass2_program, nms_program,
+    self, downsample_program, hpf_program, lpf_pass1_program, lpf_pass2_program, nms_program,
     scratch_pool,
 };
 use pimvo_kernels::pim_util::{ghost_mask, load_image, read_image, Regions};
 use pimvo_kernels::{scalar, EdgeConfig};
 use pimvo_pim::{lower, ArrayConfig, LaneWidth, LowerLevel, PimMachine, Signedness};
+use pimvo_vomath::{NormalEquations, Pinhole, SE3};
 use std::time::Instant;
 
 /// Timed `run_program` repeats per kernel; the fastest one counts.
@@ -68,6 +86,7 @@ fn main() {
     });
 
     let mut after = kernel_speeds();
+    after.extend(lm_speeds());
     let start = Instant::now();
     let _ = pimvo_bench::reports::all_with_reports(EXP_ALL_FRAMES);
     after.push((
@@ -187,4 +206,108 @@ fn measured_metrics(text: &str) -> Vec<(String, f64)> {
             (!k.starts_with("before_")).then(|| (k.to_string(), v))
         })
         .collect()
+}
+
+/// The normal equations of a machine submission's batch outputs.
+fn folded(outs: &[BatchOutput]) -> NormalEquations {
+    let mut eq = QNormalEquations::zero();
+    for out in outs {
+        fold_batch(&mut eq, out);
+    }
+    eq.to_normal_equations()
+}
+
+/// `<pose program>_mcycles_per_s` on one 80-feature batch and
+/// `lm_batches_per_s` through `BatchRunner::submit`, for the canonical
+/// frame's features under a small motion.
+fn lm_speeds() -> Vec<(String, f64)> {
+    let (img, depth) = pimvo_bench::canonical_frame();
+    let cam = Pinhole::qvga();
+    let mut edge_machine = PimMachine::new(ArrayConfig::qvga_banks(6));
+    let maps = ir::edge_detect(
+        &mut edge_machine,
+        &img,
+        &EdgeConfig::default(),
+        LowerLevel::Opt,
+    );
+    let features = extract_features(&maps.mask, &depth, &cam, 6000, 0.3, 8.0);
+    let kf = Keyframe::build(0, SE3::IDENTITY, maps.mask.clone(), &cam);
+    let pose = SE3::exp(&[0.01, -0.005, 0.02, 0.002, -0.001, 0.003]);
+    let qpose = QPose::quantize(&pose);
+    let qfeats: Vec<QFeature> = features.iter().map(QFeature::quantize).collect();
+    let batch = &qfeats[..BATCH.min(qfeats.len())];
+    // the scalar quantized path: the calibrated backend's linearization
+    let scalar_eq = |feats: &[Feature]| PimBackend::new().linearize(feats, &kf, &cam, &pose);
+
+    // one batch executed in full stages every row the five programs
+    // read; it must equal the scalar path before its programs are timed
+    let mut m = PimMachine::new(ArrayConfig::qvga_banks(6));
+    let out = run_batch(&mut m, POSE_BASE, batch, &qpose, &kf.q_tables, &cam);
+    assert_eq!(
+        folded(std::slice::from_ref(&out)),
+        scalar_eq(&features[..batch.len()]),
+        "machine batch differs from the scalar quantized path"
+    );
+    let scratch = pose_scratch(POSE_BASE);
+    let programs: Vec<_> = pose_programs(POSE_BASE, 12, Interp::Bilinear)
+        .iter()
+        .map(|p| {
+            lower(p, LowerLevel::Opt, &scratch)
+                .unwrap_or_else(|e| panic!("lowering {}: {e}", p.name()))
+        })
+        .collect();
+    // the hessian program's reduce results, in program order
+    // (the upper triangle of H is stored row by row, the order the
+    // program reduces it in, with b_i after row i)
+    let mut sums = Vec::new();
+    let mut h = out.h_partial.iter();
+    for i in 0..6 {
+        sums.extend(h.by_ref().take(6 - i).copied());
+        sums.push(out.b_partial[i]);
+    }
+    sums.push(out.cost_partial);
+
+    let mut best = vec![f64::INFINITY; programs.len()];
+    let mut cycles = vec![0u64; programs.len()];
+    for _ in 0..REPS {
+        for (k, prog) in programs.iter().enumerate() {
+            let c0 = m.stats().cycles;
+            let start = Instant::now();
+            let got = m
+                .run_program(prog)
+                .unwrap_or_else(|e| panic!("running {}: {e}", prog.name()));
+            best[k] = best[k].min(start.elapsed().as_secs_f64());
+            cycles[k] = m.stats().cycles - c0;
+            if prog.name() == "pose_hessian" {
+                assert_eq!(got, sums, "timed hessian reduce results");
+            }
+        }
+    }
+    let mut rows: Vec<(String, f64)> = programs
+        .iter()
+        .enumerate()
+        .map(|(k, prog)| {
+            let rate = cycles[k] as f64 / best[k] / 1e6;
+            (format!("{}_mcycles_per_s", prog.name()), rate)
+        })
+        .collect();
+
+    // whole feature sets through the runner, checked the same way
+    let mut runner = BatchRunner::new(BatchOptions::default());
+    let outs = runner
+        .submit(&qfeats, &qpose, &kf.q_tables, &cam)
+        .expect("no fault model: every array healthy");
+    assert_eq!(
+        folded(&outs),
+        scalar_eq(&features),
+        "machine submission differs from the scalar quantized path"
+    );
+    let mut best = f64::INFINITY;
+    for _ in 0..REPS {
+        let start = Instant::now();
+        let _ = runner.submit(&qfeats, &qpose, &kf.q_tables, &cam);
+        best = best.min(start.elapsed().as_secs_f64());
+    }
+    rows.push(("lm_batches_per_s".to_string(), outs.len() as f64 / best));
+    rows
 }

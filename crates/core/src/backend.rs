@@ -356,13 +356,6 @@ impl PimBackend {
         if let Some(t) = &self.batch_trace {
             return t.clone();
         }
-        let interp = self.interp();
-        let base_row = self.runner.base_row();
-        // the probe lowers through the pool's shared memo table, like
-        // the real batches it stands in for
-        let cache = self.runner.pool().lowered_cache().clone();
-        let m = self.runner.pool_mut().array_mut(0);
-        let before = m.stats().clone();
         // dummy features: the op sequence (and therefore the cost) is
         // data-independent
         let feats = vec![
@@ -374,23 +367,20 @@ impl PimBackend {
             };
             BATCH
         ];
+        // the probe runs the runner's own lowered programs, like the
+        // real batches it stands in for
+        let programs = self
+            .runner
+            .pose_programs(12, pim_exec::BatchMapping::Opt)
+            .clone();
+        let m = self.runner.pool_mut().array_mut(0);
+        let before = m.stats().clone();
         // isolate the probe: its synchronous stats retract exactly
         // below, while residue on a DMA channel's engine clock / health
         // counters or in an op-trace lane (records whose cycles the
         // retracted wall never pays) could not be rewound
-        let _ = m.with_probe_isolation(|m| {
-            pim_exec::exec_batch(
-                m,
-                base_row,
-                &feats,
-                pose,
-                kf,
-                cam,
-                interp,
-                pim_exec::BatchMapping::Opt,
-                &cache,
-            )
-        });
+        let _ =
+            m.with_probe_isolation(|m| pim_exec::exec_batch(m, &feats, pose, kf, cam, &programs));
         // try_since: a restored checkpoint may have reset the machine's
         // counters below the captured baseline; fall back to the
         // absolute stats rather than panicking mid-calibration

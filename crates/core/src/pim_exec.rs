@@ -37,10 +37,11 @@
 use crate::hessian::{tri_idx, QNormalEquations};
 use crate::quant::{Interp, QFeature, QKeyframe, QPose, PIX_FRAC, POSE_FRAC, RATIO_FRAC};
 use pimvo_pim::{
-    ArrayConfig, LaneWidth, LowerLevel, LoweredCache, PimArrayPool, PimError, PimMachine,
-    PimMachineBuilder, PimProgram, ScratchRows, Signedness, VReg, Val,
+    ArrayConfig, LaneWidth, LowerLevel, LoweredCache, LoweredProgram, PimArrayPool, PimError,
+    PimMachine, PimMachineBuilder, PimProgram, ScratchRows, Signedness, VReg, Val,
 };
 use pimvo_vomath::Pinhole;
+use std::sync::Arc;
 
 use Val::Row;
 
@@ -120,6 +121,12 @@ impl Default for BatchOptions {
 /// functions [`run_batch`], [`run_batch_with`] and [`run_batch_naive`]
 /// are thin wrappers over the same single-batch core.
 ///
+/// The runner lowers the five pose programs once, through the pool's
+/// shared [`LoweredCache`], and keeps them for every later batch: they
+/// depend on the staging rows, the feature fraction, the interpolation
+/// and the mapping, never on the batch. A submission whose feature
+/// fraction differs from the kept set's re-resolves it.
+///
 /// ```
 /// use pimvo_core::pim_exec::{BatchOptions, BatchRunner};
 ///
@@ -131,6 +138,9 @@ pub struct BatchRunner {
     pool: PimArrayPool,
     base_row: usize,
     options: BatchOptions,
+    /// The lowered pose programs of the last submission (`None` until
+    /// the first batch).
+    programs: Option<PosePrograms>,
 }
 
 impl BatchRunner {
@@ -154,12 +164,14 @@ impl BatchRunner {
             pool: builder.build_pool(options.pool),
             base_row: POSE_BASE,
             options,
+            programs: None,
         }
     }
 
     /// Overrides the scratch base row (default [`POSE_BASE`]).
     pub fn with_base_row(mut self, base_row: usize) -> Self {
         self.base_row = base_row;
+        self.programs = None;
         self
     }
 
@@ -182,6 +194,29 @@ impl BatchRunner {
     /// calibration, stats reset).
     pub fn pool_mut(&mut self) -> &mut PimArrayPool {
         &mut self.pool
+    }
+
+    /// The runner's pose programs for feature fraction `ff` under
+    /// `mapping`: the kept set when it matches, else a set resolved
+    /// through the pool's current cache (which then becomes the kept
+    /// one).
+    pub(crate) fn pose_programs(&mut self, ff: u32, mapping: BatchMapping) -> &PosePrograms {
+        let cache = self.pool.lowered_cache();
+        let kept = self
+            .programs
+            .as_ref()
+            .is_some_and(|p| p.serves(cache, ff, mapping));
+        if !kept {
+            self.programs = Some(PosePrograms::resolve(
+                cache,
+                self.pool.array(0).config(),
+                self.base_row,
+                ff,
+                self.options.interp,
+                mapping,
+            ));
+        }
+        self.programs.as_ref().expect("resolved above")
     }
 
     /// Executes a whole feature set: chunks of [`BATCH`] features are
@@ -211,11 +246,14 @@ impl BatchRunner {
         cam: &Pinhole,
     ) -> Result<Vec<BatchOutput>, PimError> {
         let chunks: Vec<&[QFeature]> = feats.chunks(BATCH).collect();
-        let (base_row, opts) = (self.base_row, self.options);
-        // every shard lowers through the pool's shared memo table, so
-        // the five pose programs lower once per (level, geometry) —
-        // not once per shard, batch or session
-        let cache = self.pool.lowered_cache().clone();
+        let Some(first) = chunks.first() else {
+            return Ok(Vec::new());
+        };
+        // the programs lower through the pool's shared memo table once
+        // per runner (and feature fraction), not once per batch
+        let programs = &self
+            .pose_programs(batch_frac(first), self.options.mapping)
+            .clone();
         let mut outputs = Vec::with_capacity(chunks.len());
         let mut next = 0;
         while next < chunks.len() {
@@ -224,17 +262,22 @@ impl BatchRunner {
             let section = &chunks[next..chunks.len().min(next + n.max(1))];
             let results = self.pool.run_phase_resilient("lm_batch", |shard, m| {
                 section.get(shard).map(|c| {
-                    exec_batch(
-                        m,
-                        base_row,
-                        c,
-                        pose,
-                        kf,
-                        cam,
-                        opts.interp,
-                        opts.mapping,
-                        &cache,
-                    )
+                    let ff = batch_frac(c);
+                    if programs.ff == ff {
+                        exec_batch(m, c, pose, kf, cam, programs)
+                    } else {
+                        // a chunk at another fraction (mixed-format
+                        // input) lowers its own set, as a lone batch does
+                        let own = PosePrograms::resolve(
+                            &programs.cache,
+                            m.config(),
+                            programs.base_row,
+                            ff,
+                            programs.interp,
+                            programs.mapping,
+                        );
+                        exec_batch(m, c, pose, kf, cam, &own)
+                    }
                 })
             })?;
             outputs.extend(results.into_iter().flatten());
@@ -295,27 +338,6 @@ impl PoseRows {
     fn lower_scratch(&self) -> ScratchRows {
         ScratchRows::contiguous(self.r(Self::LOWER), Self::LOWER_LEN)
     }
-}
-
-/// Lowers `prog` at `level` and executes it, returning the in-array
-/// reduction results in program order.
-///
-/// # Panics
-///
-/// Panics if the program fails to lower (a bug in the builders below)
-/// or references rows outside the machine.
-fn run_pose_program(
-    m: &mut PimMachine,
-    prog: &PimProgram,
-    level: LowerLevel,
-    scratch: &ScratchRows,
-    cache: &LoweredCache,
-) -> Vec<i64> {
-    let lowered = cache
-        .get_or_lower(prog, level, scratch, m.config())
-        .unwrap_or_else(|e| panic!("lowering {} at {level}: {e}", prog.name()));
-    m.run_program(&lowered)
-        .unwrap_or_else(|e| panic!("running {}: {e}", prog.name()))
 }
 
 /// Warp, projection and depth-validity program (Fig. 5-b):
@@ -544,6 +566,91 @@ pub fn pose_scratch(base_row: usize) -> ScratchRows {
     PoseRows::new(base_row).lower_scratch()
 }
 
+/// The feature fraction a batch's programs are built for: the first
+/// feature's (12, the default format, for an empty batch).
+fn batch_frac(feats: &[QFeature]) -> u32 {
+    feats.first().map_or(12, |f| f.frac)
+}
+
+/// The five pose programs, lowered for one array geometry, of one
+/// staging base row, feature fraction, interpolation and mapping,
+/// together with the [`LoweredCache`] they were resolved through.
+///
+/// Nothing in the set depends on the batch, so a [`BatchRunner`]
+/// resolves it once and every batch runs it as is: per batch there is
+/// no program to build and no IR to hash.
+#[derive(Debug, Clone)]
+pub(crate) struct PosePrograms {
+    /// The table the set was resolved through. Holding the handle keeps
+    /// the table alive, so its identity can tell a later cache swap.
+    cache: LoweredCache,
+    base_row: usize,
+    ff: u32,
+    interp: Interp,
+    mapping: BatchMapping,
+    warp: Arc<LoweredProgram>,
+    /// The fractional-weight program (bilinear interpolation only).
+    frac: Option<Arc<LoweredProgram>>,
+    residual: Arc<LoweredProgram>,
+    jacobian: Arc<LoweredProgram>,
+    hessian: Arc<LoweredProgram>,
+}
+
+impl PosePrograms {
+    /// Lowers (or looks up) the programs a batch of feature fraction
+    /// `ff` runs, in submission order, through `cache`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a program fails to lower (a bug in the builders
+    /// above).
+    pub(crate) fn resolve(
+        cache: &LoweredCache,
+        config: &ArrayConfig,
+        base_row: usize,
+        ff: u32,
+        interp: Interp,
+        mapping: BatchMapping,
+    ) -> Self {
+        let rows = PoseRows::new(base_row);
+        let (level, scratch) = (mapping.level(), rows.lower_scratch());
+        let lower = |prog: PimProgram| {
+            cache
+                .get_or_lower(&prog, level, &scratch, config)
+                .unwrap_or_else(|e| panic!("lowering {} at {level}: {e}", prog.name()))
+        };
+        PosePrograms {
+            warp: lower(warp_program(&rows, ff)),
+            frac: (interp == Interp::Bilinear).then(|| lower(frac_weights_program(&rows))),
+            residual: lower(residual_program(&rows, interp)),
+            jacobian: lower(jacobian_program(&rows)),
+            hessian: lower(hessian_program(&rows)),
+            cache: cache.clone(),
+            base_row,
+            ff,
+            interp,
+            mapping,
+        }
+    }
+
+    /// Whether this set is what [`PosePrograms::resolve`] would return
+    /// for `ff` and `mapping` through `cache` (same staging rows and
+    /// interpolation assumed).
+    fn serves(&self, cache: &LoweredCache, ff: u32, mapping: BatchMapping) -> bool {
+        self.ff == ff && self.mapping == mapping && self.cache.same_table(cache)
+    }
+}
+
+/// Runs one lowered pose program, returning its reduce results.
+///
+/// # Panics
+///
+/// Panics if the program references rows outside the machine.
+fn run_pose(m: &mut PimMachine, prog: &LoweredProgram) -> Vec<i64> {
+    m.run_program(prog)
+        .unwrap_or_else(|e| panic!("running {}: {e}", prog.name()))
+}
+
 /// Output of one machine batch: everything the host needs to fold the
 /// batch into the normal equations.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -584,7 +691,7 @@ pub fn run_batch(
     kf: &QKeyframe,
     cam: &Pinhole,
 ) -> BatchOutput {
-    exec_batch(
+    run_lone_batch(
         m,
         base_row,
         feats,
@@ -593,7 +700,6 @@ pub fn run_batch(
         cam,
         Interp::Bilinear,
         BatchMapping::Opt,
-        LoweredCache::global(),
     )
 }
 
@@ -612,24 +718,13 @@ pub fn run_batch_with(
     cam: &Pinhole,
     interp: Interp,
 ) -> BatchOutput {
-    exec_batch(
-        m,
-        base_row,
-        feats,
-        pose,
-        kf,
-        cam,
-        interp,
-        BatchMapping::Opt,
-        LoweredCache::global(),
-    )
+    run_lone_batch(m, base_row, feats, pose, kf, cam, interp, BatchMapping::Opt)
 }
 
-/// Single-batch core behind [`BatchRunner`] and the `run_batch*`
-/// wrappers: executes one chunk of ≤ [`BATCH`] features with the given
-/// interpolation and mapping.
+/// The `run_batch*` wrappers' core: resolves the pose programs of this
+/// one batch through [`LoweredCache::global`] and executes it.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn exec_batch(
+fn run_lone_batch(
     m: &mut PimMachine,
     base_row: usize,
     feats: &[QFeature],
@@ -638,18 +733,46 @@ pub(crate) fn exec_batch(
     cam: &Pinhole,
     interp: Interp,
     mapping: BatchMapping,
-    cache: &LoweredCache,
 ) -> BatchOutput {
+    let programs = PosePrograms::resolve(
+        LoweredCache::global(),
+        m.config(),
+        base_row,
+        batch_frac(feats),
+        interp,
+        mapping,
+    );
+    exec_batch(m, feats, pose, kf, cam, &programs)
+}
+
+/// Single-batch core behind [`BatchRunner`] and the `run_batch*`
+/// wrappers: executes one chunk of ≤ [`BATCH`] features with the
+/// lowered pose programs of its feature fraction (whose staging rows,
+/// interpolation and mapping it runs at).
+///
+/// # Panics
+///
+/// Panics if more than [`BATCH`] features are supplied, the machine
+/// lacks the staging rows, or `programs` were resolved for another
+/// feature fraction.
+pub(crate) fn exec_batch(
+    m: &mut PimMachine,
+    feats: &[QFeature],
+    pose: &QPose,
+    kf: &QKeyframe,
+    cam: &Pinhole,
+    programs: &PosePrograms,
+) -> BatchOutput {
+    let (base_row, interp, mapping) = (programs.base_row, programs.interp, programs.mapping);
     assert!(feats.len() <= BATCH, "batch too large: {}", feats.len());
     assert!(
         base_row + PoseRows::LOWER + PoseRows::LOWER_LEN <= m.config().rows,
         "machine too small for pose rows"
     );
+    let ff = batch_frac(feats);
+    assert_eq!(programs.ff, ff, "pose programs of another feature fraction");
     let rows = PoseRows::new(base_row);
     let n = feats.len();
-    let ff = feats.first().map(|f| f.frac).unwrap_or(12);
-    let level = mapping.level();
-    let scratch = rows.lower_scratch();
 
     // ---- host setup (I/O, not compute) --------------------------------
     m.set_lanes(LaneWidth::W32, Signedness::Signed);
@@ -689,14 +812,14 @@ pub(crate) fn exec_batch(
         .expect("host I/O row in range");
     m.host_broadcast(rows.r(PoseRows::LOWHALF), 0xFFFF)
         .expect("host I/O row in range");
-    let _ = run_pose_program(m, &warp_program(&rows, ff), level, &scratch, cache);
+    let _ = run_pose(m, &programs.warp);
 
     // ---- residual / gradient gather (host-addressed) -------------------
-    if interp == Interp::Bilinear {
+    if let Some(frac) = &programs.frac {
         // fractional weights wu, wv (Q0.6): a single AND with 0x3F
         m.host_broadcast(rows.r(PoseRows::SCRATCH), (1 << PIX_FRAC) - 1)
             .expect("host I/O row in range");
-        let _ = run_pose_program(m, &frac_weights_program(&rows), level, &scratch, cache);
+        let _ = run_pose(m, frac);
     }
 
     let u_raw = m.host_read_lanes(rows.r(PoseRows::U));
@@ -774,12 +897,12 @@ pub(crate) fn exec_batch(
     // residual: bilinear lerp pipeline (or the nearest staging copy),
     // with the validity mask folded in before the store — zeroed and
     // packed for the W16 hessian stage
-    let _ = run_pose_program(m, &residual_program(&rows, interp), level, &scratch, cache);
+    let _ = run_pose(m, &programs.residual);
 
     // ---- Jacobian (Fig. 5-d shared-subexpression pipeline) -------------
     // invalid lanes are masked branch-free: multiplying by the 0/-1 Z
     // mask would flip signs; instead each row is ANDed with it
-    let _ = run_pose_program(m, &jacobian_program(&rows), level, &scratch, cache);
+    let _ = run_pose(m, &programs.jacobian);
 
     // read back jacobians and residuals (host view for verification /
     // fast-path checks). The combined mask packed each lane into 16-bit
@@ -807,7 +930,7 @@ pub(crate) fn exec_batch(
     // (charged at half cost: two 80-feature half-batches pack one
     // 160-lane word line; see the module docs)
     let before = m.stats().clone();
-    let sums = run_pose_program(m, &hessian_program(&rows), level, &scratch, cache);
+    let sums = run_pose(m, &programs.hessian);
     let mut h_partial = [0i64; 21];
     let mut b_partial = [0i64; 6];
     let mut it = sums.into_iter();
@@ -888,7 +1011,7 @@ pub fn run_batch_naive(
     kf: &QKeyframe,
     cam: &Pinhole,
 ) -> BatchOutput {
-    exec_batch(
+    run_lone_batch(
         m,
         base_row,
         feats,
@@ -897,7 +1020,6 @@ pub fn run_batch_naive(
         cam,
         Interp::Bilinear,
         BatchMapping::Naive,
-        LoweredCache::global(),
     )
 }
 

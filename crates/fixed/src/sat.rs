@@ -42,12 +42,12 @@ pub fn min_u8(a: u8, b: u8) -> u8 {
     a.wrapping_sub(sat_sub_u8(a, b))
 }
 
-/// Generic saturating clamp of an `i64` into a signed `bits`-wide word.
+/// Generic saturating clamp of an `i64` into a signed `bits`-wide word
+/// (`1..=64` bits; at 64 every `i64` already fits).
 #[inline]
 pub fn clamp_signed(v: i64, bits: u32) -> i64 {
-    let max = (1i64 << (bits - 1)) - 1;
-    let min = -(1i64 << (bits - 1));
-    v.clamp(min, max)
+    let max = i64::MAX >> (64 - bits);
+    v.clamp(-max - 1, max)
 }
 
 /// Generic wrap of an `i64` into a signed `bits`-wide word (two's
@@ -64,11 +64,11 @@ pub fn wrap_unsigned(v: i64, bits: u32) -> u64 {
     (v as u64) & (u64::MAX >> (64 - bits))
 }
 
-/// Generic saturating clamp into an unsigned `bits`-wide word.
+/// Generic saturating clamp into an unsigned `bits`-wide word
+/// (`1..=64` bits).
 #[inline]
 pub fn clamp_unsigned(v: i64, bits: u32) -> u64 {
-    let max = (u64::MAX >> (64 - bits)) as i64;
-    v.clamp(0, max) as u64
+    (v.max(0) as u64).min(u64::MAX >> (64 - bits))
 }
 
 #[cfg(test)]
@@ -104,5 +104,15 @@ mod tests {
         assert_eq!(wrap_unsigned(256, 8), 0);
         assert_eq!(clamp_unsigned(-5, 8), 0);
         assert_eq!(clamp_unsigned(300, 8), 255);
+    }
+
+    #[test]
+    fn clamps_accept_a_64_bit_word() {
+        assert_eq!(clamp_signed(i64::MIN, 64), i64::MIN);
+        assert_eq!(clamp_signed(i64::MAX, 64), i64::MAX);
+        assert_eq!(clamp_signed(5, 1), 0);
+        assert_eq!(clamp_signed(-5, 1), -1);
+        assert_eq!(clamp_unsigned(-1, 64), 0);
+        assert_eq!(clamp_unsigned(i64::MAX, 64), i64::MAX as u64);
     }
 }

@@ -138,6 +138,13 @@ impl LoweredCache {
         }
     }
 
+    /// Whether `other` is a handle on this cache's table (a clone of
+    /// it), rather than on an independent one.
+    #[must_use]
+    pub fn same_table(&self, other: &LoweredCache) -> bool {
+        Arc::ptr_eq(&self.inner, &other.inner)
+    }
+
     /// Drops every entry and resets the counters (the handle stays
     /// shared).
     pub fn clear(&self) {
@@ -260,6 +267,13 @@ mod tests {
         }
         let s = cache.stats();
         assert_eq!((s.hits, s.misses, s.entries), (0, 0, 0));
+    }
+
+    #[test]
+    fn clones_share_the_table_and_new_caches_do_not() {
+        let cache = LoweredCache::new();
+        assert!(cache.same_table(&cache.clone()));
+        assert!(!cache.same_table(&LoweredCache::new()));
     }
 
     #[test]

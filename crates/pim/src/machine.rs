@@ -12,6 +12,43 @@ use pimvo_telemetry::optrace::{OpKind, OpTrace};
 use std::collections::BTreeMap;
 use std::fmt;
 
+/// Runs `$body` with `$D` naming the [`Decode`] of lane width `$width`
+/// at signedness `$sign`: one monomorphic copy of the body per pair.
+macro_rules! with_decoder {
+    ($width:expr, $sign:expr, $D:ident => $body:expr) => {
+        match ($width, $sign) {
+            (LaneWidth::W8, Signedness::Unsigned) => {
+                type $D = DecodeU8;
+                $body
+            }
+            (LaneWidth::W8, Signedness::Signed) => {
+                type $D = DecodeI8;
+                $body
+            }
+            (LaneWidth::W16, Signedness::Unsigned) => {
+                type $D = DecodeU16;
+                $body
+            }
+            (LaneWidth::W16, Signedness::Signed) => {
+                type $D = DecodeI16;
+                $body
+            }
+            (LaneWidth::W32, Signedness::Unsigned) => {
+                type $D = DecodeU32;
+                $body
+            }
+            (LaneWidth::W32, Signedness::Signed) => {
+                type $D = DecodeI32;
+                $body
+            }
+            (LaneWidth::W64, _) => {
+                type $D = Decode64;
+                $body
+            }
+        }
+    };
+}
+
 /// Error returned by the fallible API of [`PimMachine`] and
 /// [`crate::PimArrayPool`].
 ///
@@ -164,14 +201,14 @@ pub struct PimMachine {
     /// persistent defect is remapped to a spare.
     remap: BTreeMap<usize, usize>,
     tmp: Vec<i64>,
-    /// Decode buffers for the operands of the macro-op in flight. They
-    /// keep their capacity across ops, so the lane datapath allocates
-    /// nothing per op; results are swapped into `tmp`.
-    opa: Vec<i64>,
-    opb: Vec<i64>,
-    /// Sensed copy of a row read through an armed fault unit (the
-    /// cells themselves are never corrupted by a read).
-    sensed: Vec<u8>,
+    /// Result buffer of the macro-op in flight: each op computes into
+    /// it, then swaps it with `tmp`. It keeps its capacity across ops,
+    /// so the lane datapath allocates nothing per op.
+    spare: Vec<i64>,
+    /// Sensed copies of the `a` and `b` row operands read through an
+    /// armed fault unit (the cells themselves are never corrupted by a
+    /// read).
+    sensed: [Vec<u8>; 2],
     /// Logical bit width of the Tmp Reg contents (doubles after `mul`).
     tmp_bits: u32,
     /// Additional temporary registers (index 1..): `(lanes, bits)`.
@@ -350,9 +387,8 @@ impl PimMachine {
             spares_used: 0,
             remap: BTreeMap::new(),
             tmp: Vec::new(),
-            opa: Vec::new(),
-            opb: Vec::new(),
-            sensed: Vec::new(),
+            spare: Vec::new(),
+            sensed: [Vec::new(), Vec::new()],
             tmp_bits: 8,
             extra_regs: Vec::new(),
             width: LaneWidth::W8,
@@ -869,7 +905,15 @@ impl PimMachine {
     /// [`PimError::TooManyLanes`] when `values` exceeds the lane count —
     /// the same contract as [`PimMachine::host_write_bytes`].
     pub fn host_write_lanes(&mut self, row: usize, values: &[i64]) -> Result<(), PimError> {
-        self.write_lanes(row, values.iter().copied())
+        let (lanes, n) = (self.lanes(), values.len());
+        if n > lanes {
+            return Err(PimError::TooManyLanes { got: n, lanes });
+        }
+        self.check_row(row)?;
+        let phys = self.phys_row(row);
+        encode_lanes(&mut self.rows[phys], values, self.width);
+        self.transfer_lanes_in(row, n);
+        Ok(())
     }
 
     /// Fills every lane of a row with a constant (threshold rows etc.).
@@ -878,29 +922,19 @@ impl PimMachine {
     ///
     /// Returns [`PimError::RowOutOfRange`] for a bad row index.
     pub fn host_broadcast(&mut self, row: usize, value: i64) -> Result<(), PimError> {
-        let lanes = self.lanes();
-        self.write_lanes(row, std::iter::repeat_n(value, lanes))
+        self.check_row(row)?;
+        let (lanes, phys) = (self.lanes(), self.phys_row(row));
+        fill_lanes(&mut self.rows[phys], value, lanes, self.width);
+        self.transfer_lanes_in(row, lanes);
+        Ok(())
     }
 
-    /// [`PimMachine::host_write_lanes`] over any exact-size value source.
-    fn write_lanes(
-        &mut self,
-        row: usize,
-        values: impl ExactSizeIterator<Item = i64>,
-    ) -> Result<(), PimError> {
-        let lanes = self.lanes();
-        let n = values.len();
-        if n > lanes {
-            return Err(PimError::TooManyLanes { got: n, lanes });
-        }
-        self.check_row(row)?;
-        let phys = self.phys_row(row);
-        encode_lanes(&mut self.rows[phys], values, self.width);
+    /// Charges the inbound transfer of `n` lanes just written to `row`.
+    fn transfer_lanes_in(&mut self, row: usize, n: usize) {
         // the wire moves only the valid lanes; the zero tail is a row
         // clear strobe, not burst traffic
         let moved = n * self.width.bytes();
         self.transfer_row(self.transfer_kind, row, moved, n as u32);
-        Ok(())
     }
 
     /// Issues a host transfer whose wire image is the first `len` bytes
@@ -920,8 +954,14 @@ impl PimMachine {
     /// Returns [`PimError::RowOutOfRange`] for a bad row index.
     pub fn try_host_read_lanes(&mut self, row: usize) -> Result<Vec<i64>, PimError> {
         self.check_row(row)?;
-        let mut vals = Vec::new();
-        self.sense_row(row, true, 0, &mut vals);
+        let (lanes, phys) = (self.lanes(), self.phys_row(row));
+        if !self.fault.is_inert() {
+            self.sense(phys, true, 0);
+        }
+        let cells = self.row_image(phys, 0);
+        let vals: Vec<i64> = with_decoder!(self.width, self.sign, D => {
+            RowLanes::<D>::new(cells, lanes).values().collect()
+        });
         // the row's cells are the outbound descriptor's wire image (the
         // channel reads the burst buffer at issue; the host sees the
         // values now, the port pays for them on its own clock)
@@ -1152,59 +1192,88 @@ impl PimMachine {
                     r as i64
                 })?;
             }
+            // wrapping sums are the same bit pattern whatever the
+            // signedness, so 64-bit lanes need no wider arithmetic
             AluOp::Add => {
                 self.binop(OpClass::AddSub, a, b, b_pix, bits, move |x, y| {
-                    wrap(x + y, bits, sign)
+                    wrap(x.wrapping_add(y), bits, sign)
                 })?;
             }
             AluOp::Sub => {
                 self.binop(OpClass::AddSub, a, b, b_pix, bits, move |x, y| {
-                    wrap(x - y, bits, sign)
+                    wrap(x.wrapping_sub(y), bits, sign)
                 })?;
             }
-            AluOp::SatAdd => {
-                self.binop(OpClass::SatAddSub, a, b, b_pix, bits, move |x, y| {
-                    clamp(x + y, bits, sign)
-                })?;
-            }
-            AluOp::SatSub => {
-                self.binop(OpClass::SatAddSub, a, b, b_pix, bits, move |x, y| {
-                    clamp(x - y, bits, sign)
-                })?;
-            }
-            AluOp::Avg => {
-                self.binop(OpClass::Avg, a, b, b_pix, bits, |x, y| (x + y) >> 1)?;
-            }
-            AluOp::AbsDiff => {
-                // Step 1: M = a - b (+ carry extension), SRAM-touching.
-                // Steps 2-3: Tmp-resident single-cycle fixups (Fig. 7-a).
-                self.binop(OpClass::AbsDiff, a, b, b_pix, bits, move |x, y| {
-                    clamp((x - y).abs(), bits, sign)
-                })?;
-                self.charge_tmp_steps(2);
-            }
-            AluOp::Max => {
-                // max(a, b) = sat(a - b) + b (Fig. 7-b)
-                self.binop(OpClass::MinMax, a, b, b_pix, bits, |x, y| x.max(y))?;
-                self.charge_tmp_steps(1);
-            }
-            AluOp::Min => {
-                // min(a, b) = a - sat(a - b)
-                self.binop(OpClass::MinMax, a, b, b_pix, bits, |x, y| x.min(y))?;
-                self.charge_tmp_steps(1);
-            }
+            _ if bits < 64 => self.value_op::<i64>(op, a, b, b_pix, bits)?,
+            _ => self.value_op::<i128>(op, a, b, b_pix, bits)?,
+        }
+        match op {
+            // Step 1: M = a - b (+ carry extension), SRAM-touching.
+            // Steps 2-3: Tmp-resident single-cycle fixups (Fig. 7-a).
+            AluOp::AbsDiff => self.charge_tmp_steps(2),
+            // max(a, b) = sat(a - b) + b, min(a, b) = a - sat(a - b)
+            // (Fig. 7-b): one Tmp-resident fixup each
+            AluOp::Max | AluOp::Min => self.charge_tmp_steps(1),
+            _ => {}
+        }
+        Ok(())
+    }
+
+    /// The ALU ops whose result depends on the lanes' values, not only
+    /// their bit patterns, computed in `T`: `i64` below 64 bits, where
+    /// no sum or difference overflows, and `i128` at 64 bits, where an
+    /// unsigned lane's pattern reads as a `u64`.
+    fn value_op<T: LaneInt>(
+        &mut self,
+        op: AluOp,
+        a: Operand,
+        b: Operand,
+        b_pix: i32,
+        bits: u32,
+    ) -> Result<(), PimError> {
+        let sign = self.sign;
+        let v = move |x: i64| T::of(x, sign);
+        match op {
+            AluOp::SatAdd => self.binop(OpClass::SatAddSub, a, b, b_pix, bits, move |x, y| {
+                (v(x) + v(y)).clamp_lane(bits, sign)
+            }),
+            AluOp::SatSub => self.binop(OpClass::SatAddSub, a, b, b_pix, bits, move |x, y| {
+                (v(x) - v(y)).clamp_lane(bits, sign)
+            }),
+            AluOp::Avg => self.binop(OpClass::Avg, a, b, b_pix, bits, move |x, y| {
+                ((v(x) + v(y)) >> 1).lane()
+            }),
+            AluOp::AbsDiff => self.binop(OpClass::AbsDiff, a, b, b_pix, bits, move |x, y| {
+                (v(x) - v(y)).abs().clamp_lane(bits, sign)
+            }),
+            AluOp::Max => self.binop(OpClass::MinMax, a, b, b_pix, bits, move |x, y| {
+                if v(x) >= v(y) {
+                    x
+                } else {
+                    y
+                }
+            }),
+            AluOp::Min => self.binop(OpClass::MinMax, a, b, b_pix, bits, move |x, y| {
+                if v(x) <= v(y) {
+                    x
+                } else {
+                    y
+                }
+            }),
             AluOp::CmpGt => {
                 let mask = width_mask(bits) as i64;
                 self.binop(OpClass::Cmp, a, b, b_pix, bits, move |x, y| {
-                    if x > y {
+                    if v(x) > v(y) {
                         mask
                     } else {
                         0
                     }
-                })?;
+                })
+            }
+            AluOp::Logic(_) | AluOp::Add | AluOp::Sub => {
+                unreachable!("bit-pattern ops are dispatched by try_alu")
             }
         }
-        Ok(())
     }
 
     /// Bit-wise logic of two operands (1 cycle).
@@ -1356,11 +1425,12 @@ impl PimMachine {
     /// Propagates operand errors (see [`PimMachine::try_alu`]).
     pub fn try_shr_bits(&mut self, a: Operand, k: u32) -> Result<(), PimError> {
         let bits = self.op_bits(a, a)?;
-        let sign = self.sign;
-        self.unop(OpClass::Shift, a, 0, bits, move |v| match sign {
-            Signedness::Signed => v >> k,
-            Signedness::Unsigned => ((v as u64) >> k) as i64,
-        })
+        match self.sign {
+            Signedness::Signed => self.unop(OpClass::Shift, a, 0, bits, move |v| v >> k),
+            Signedness::Unsigned => self.unop(OpClass::Shift, a, 0, bits, move |v| {
+                ((v as u64) >> k) as i64
+            }),
+        }
     }
 
     /// Left shift of every lane by `k` bits, wrapping (1 cycle).
@@ -1525,15 +1595,17 @@ impl PimMachine {
     /// Propagates operand errors (see [`PimMachine::try_alu`]).
     pub fn try_div_signed(&mut self, a: Operand, b: Operand) -> Result<(), PimError> {
         let n = self.width.bits();
+        let max = sat::clamp_signed(i64::MAX, n);
         self.binop(OpClass::Div, a, b, 0, n, move |x, y| {
             if y == 0 {
                 if x >= 0 {
-                    (1i64 << (n - 1)) - 1
+                    max
                 } else {
-                    -(1i64 << (n - 1))
+                    -max - 1
                 }
             } else {
-                wrap(x / y, n, Signedness::Signed)
+                // MIN / -1 wraps, as the n-bit divider does
+                wrap(x.wrapping_div(y), n, Signedness::Signed)
             }
         })?;
         self.tmp_bits = n;
@@ -1598,9 +1670,9 @@ impl PimMachine {
     ) -> Result<(), PimError> {
         let n = self.width.bits();
         let out_bits = (n + frac).min(64);
+        let max = sat::clamp_signed(i64::MAX, out_bits);
         self.binop(OpClass::Div, a, b, 0, out_bits, move |x, y| {
             if y == 0 {
-                let max = (1i64 << (out_bits - 1)) - 1;
                 if x >= 0 {
                     max
                 } else {
@@ -1632,7 +1704,9 @@ impl PimMachine {
     pub fn try_neg(&mut self, a: Operand) -> Result<(), PimError> {
         let bits = self.op_bits(a, a)?;
         let sign = self.sign;
-        self.unop(OpClass::AddSub, a, 0, bits, move |v| wrap(-v, bits, sign))
+        self.unop(OpClass::AddSub, a, 0, bits, move |v| {
+            wrap(v.wrapping_neg(), bits, sign)
+        })
     }
 
     /// Saturating narrowing of the Tmp/row contents to `bits` wide
@@ -1649,8 +1723,16 @@ impl PimMachine {
     ///
     /// Propagates operand errors (see [`PimMachine::try_alu`]).
     pub fn try_sat_narrow(&mut self, a: Operand, bits: u32) -> Result<(), PimError> {
+        // an unsigned 64-bit lane with its top bit set holds a value
+        // above every signed bound, not a negative one
+        let unsigned_64 = self.sign == Signedness::Unsigned && self.operand_bits(a)? == 64;
+        let max = sat::clamp_signed(i64::MAX, bits);
         self.unop(OpClass::SatAddSub, a, 0, bits, move |v| {
-            sat::clamp_signed(v, bits)
+            if unsigned_64 && v < 0 {
+                max
+            } else {
+                sat::clamp_signed(v, bits)
+            }
         })
     }
 
@@ -1678,8 +1760,8 @@ impl PimMachine {
         }
         let lanes = self.lanes();
         let phys = self.phys_row(dst);
-        let values = self.tmp.iter().copied().take(lanes);
-        encode_lanes(&mut self.rows[phys], values, self.width);
+        let n = lanes.min(self.tmp.len());
+        encode_lanes(&mut self.rows[phys], &self.tmp[..n], self.width);
         let cycle_start = self.stats.cycles;
         self.stats.cycles += 1;
         self.stats.sram_writes += 1;
@@ -1739,7 +1821,7 @@ impl PimMachine {
                 } else {
                     0
                 };
-                self.tmp[i] = wrap(self.tmp[i] + other, bits, sign);
+                self.tmp[i] = wrap(self.tmp[i].wrapping_add(other), bits, sign);
             }
             stride *= 2;
         }
@@ -1784,13 +1866,22 @@ impl PimMachine {
         for &(row, _) in addresses {
             self.check_row(row)?;
         }
+        let (lanes, width, sign) = (self.lanes(), self.width, self.sign);
         let mut out = Vec::with_capacity(addresses.len());
-        let mut vals = std::mem::take(&mut self.opa);
         for &(row, lane) in addresses {
-            self.sense_row(row, false, 0, &mut vals);
-            out.push(vals.get(lane).copied().unwrap_or(0));
+            let phys = self.phys_row(row);
+            // an armed unit senses the whole row per access, so the
+            // fault stream advances exactly as for a row operand
+            if !self.fault.is_inert() {
+                self.sense(phys, false, 0);
+            }
+            let cells = self.row_image(phys, 0);
+            out.push(if lane < lanes {
+                with_decoder!(width, sign, D => RowLanes::<D>::new(cells, lanes).at(lane))
+            } else {
+                0
+            });
         }
-        self.opa = vals;
         let n = addresses.len() as u64;
         let cycle_start = self.stats.cycles;
         self.stats.cycles += n;
@@ -1933,25 +2024,25 @@ impl PimMachine {
         }
     }
 
-    /// Reads logical `row` through the sense amplifiers into `dst` as
-    /// lane values at the current configuration, lane `i` receiving
-    /// lane `i + pix` (zero past the row edge). The default (inert
-    /// fault unit) decodes straight from the cells. An armed unit
-    /// applies the fault model and word protection to a sensed copy:
-    /// transient upsets corrupt the copy only, cell contents stay
-    /// intact.
-    fn sense_row(&mut self, row: usize, host: bool, pix: i32, dst: &mut Vec<i64>) {
-        debug_assert!(row < self.config.rows, "sense_row caller must check_row");
-        let lanes = self.lanes();
-        // faults live with the *physical* cells: a logical row remapped
-        // to a spare escapes the defective row's stuck bits
-        let phys = self.phys_row(row);
+    /// Senses physical row `phys` through an armed fault unit into
+    /// sensed copy `slot`: the fault model and word protection act on
+    /// the copy, so transient upsets never corrupt the cells.
+    fn sense(&mut self, phys: usize, host: bool, slot: usize) {
+        self.sensed[slot].clone_from(&self.rows[phys]);
+        self.fault.apply_to_read(phys, &mut self.sensed[slot], host);
+    }
+
+    /// The row image a read of physical row `phys` decodes: the cells
+    /// themselves on an inert fault unit (faults live with the
+    /// *physical* cells, so a row remapped to a spare escapes the
+    /// defective row's stuck bits), else sensed copy `slot`, filled by
+    /// [`PimMachine::sense`].
+    #[inline]
+    fn row_image(&self, phys: usize, slot: usize) -> &[u8] {
         if self.fault.is_inert() {
-            decode_lanes(dst, &self.rows[phys], lanes, self.width, self.sign, pix);
+            &self.rows[phys]
         } else {
-            self.sensed.clone_from(&self.rows[phys]);
-            self.fault.apply_to_read(phys, &mut self.sensed, host);
-            decode_lanes(dst, &self.sensed, lanes, self.width, self.sign, pix);
+            &self.sensed[slot]
         }
     }
 
@@ -2032,21 +2123,38 @@ impl PimMachine {
         Ok(bits.max(self.width.bits()))
     }
 
-    /// Loads an operand's lanes into `dst`, pre-shifted by `pix` lanes
-    /// (see [`PimMachine::shift_pix`]).
-    fn load_operand(&mut self, op: Operand, pix: i32, dst: &mut Vec<i64>) -> Result<(), PimError> {
+    /// Validates operand `op` ahead of a read: a row operand is range
+    /// checked and, through an armed fault unit, sensed into sensed
+    /// copy `slot`; a register must hold a value.
+    fn sense_operand(&mut self, op: Operand, slot: usize) -> Result<(), PimError> {
         match op {
             Operand::Row(r) => {
                 self.check_row(r)?;
-                self.sense_row(r, false, pix, dst);
+                if !self.fault.is_inert() {
+                    self.sense(self.phys_row(r), false, slot);
+                }
             }
-            reg => shift_into(dst, self.register(reg)?.0, pix),
+            reg => {
+                self.register(reg)?;
+            }
         }
         Ok(())
     }
 
+    /// The lanes an operand validated by [`PimMachine::sense_operand`]
+    /// reads, in place: a row image or a register slice.
+    fn source(&self, op: Operand, slot: usize) -> Source<'_> {
+        match op {
+            Operand::Row(r) => Source::Row(self.row_image(self.phys_row(r), slot)),
+            reg => Source::Reg(self.register(reg).map_or(&[], |(vals, _)| vals)),
+        }
+    }
+
     /// Executes one single-cycle binary micro step and leaves the result
-    /// in the Tmp Reg.
+    /// in the Tmp Reg. One pass over the lanes decodes both operands
+    /// (rows at the current width and signedness, registers read in
+    /// place, `b` pre-shifted by `b_pix` lanes) and computes `f` into
+    /// the spare buffer, which then becomes the Tmp Reg.
     fn binop(
         &mut self,
         class: OpClass,
@@ -2056,19 +2164,29 @@ impl PimMachine {
         out_bits: u32,
         f: impl Fn(i64, i64) -> i64,
     ) -> Result<(), PimError> {
-        // the operand buffers are taken out for the decode (an error
-        // leaves them empty; they regrow on the next op)
-        let mut av = std::mem::take(&mut self.opa);
-        let mut bv = std::mem::take(&mut self.opb);
-        self.load_operand(a, 0, &mut av)?;
-        self.load_operand(b, b_pix, &mut bv)?;
-        av.truncate(bv.len());
-        for (x, &y) in av.iter_mut().zip(&bv) {
-            *x = f(*x, y);
+        // a then b: an armed unit draws from its fault stream in the
+        // order the operands are sensed
+        self.sense_operand(a, 0)?;
+        self.sense_operand(b, 1)?;
+        let mut out = std::mem::take(&mut self.spare);
+        let (width, sign, lanes) = (self.width, self.sign, self.lanes());
+        match (self.source(a, 0), self.source(b, 1)) {
+            (Source::Reg(x), Source::Reg(y)) => zip_lanes(&mut out, x, y, b_pix, &f),
+            (sa, sb) => with_decoder!(width, sign, D => {
+                let row = |cells| RowLanes::<D>::new(cells, lanes);
+                match (sa, sb) {
+                    (Source::Row(x), Source::Row(y)) => {
+                        zip_lanes(&mut out, row(x), row(y), b_pix, &f);
+                    }
+                    (Source::Row(x), Source::Reg(y)) => zip_lanes(&mut out, row(x), y, b_pix, &f),
+                    (Source::Reg(x), Source::Row(y)) => zip_lanes(&mut out, x, row(y), b_pix, &f),
+                    (Source::Reg(_), Source::Reg(_)) => unreachable!("handled above"),
+                }
+            }),
         }
-        let lanes = av.len();
-        std::mem::swap(&mut self.tmp, &mut av);
-        (self.opa, self.opb) = (av, bv);
+        let lanes = out.len();
+        std::mem::swap(&mut self.tmp, &mut out);
+        self.spare = out;
         self.tmp_bits = out_bits;
         // cycle/energy accounting
         let cycle_start = self.stats.cycles;
@@ -2111,7 +2229,8 @@ impl PimMachine {
     }
 
     /// Executes one single-cycle unary micro step on operand `a`
-    /// pre-shifted by `pix` lanes.
+    /// pre-shifted by `pix` lanes, in one pass like
+    /// [`PimMachine::binop`].
     fn unop(
         &mut self,
         class: OpClass,
@@ -2120,13 +2239,17 @@ impl PimMachine {
         out_bits: u32,
         f: impl Fn(i64) -> i64,
     ) -> Result<(), PimError> {
-        let mut av = std::mem::take(&mut self.opa);
-        self.load_operand(a, pix, &mut av)?;
-        for x in av.iter_mut() {
-            *x = f(*x);
+        self.sense_operand(a, 0)?;
+        let mut out = std::mem::take(&mut self.spare);
+        let (width, sign, lanes) = (self.width, self.sign, self.lanes());
+        match self.source(a, 0) {
+            Source::Reg(x) => map_lanes(&mut out, x, pix, &f),
+            Source::Row(x) => with_decoder!(width, sign, D => {
+                map_lanes(&mut out, RowLanes::<D>::new(x, lanes), pix, &f);
+            }),
         }
-        std::mem::swap(&mut self.tmp, &mut av);
-        self.opa = av;
+        std::mem::swap(&mut self.tmp, &mut out);
+        self.spare = out;
         self.tmp_bits = out_bits;
         let cycle_start = self.stats.cycles;
         self.stats.cycles += 1;
@@ -2298,69 +2421,238 @@ fn shift_window(n: usize, pix: i32) -> (usize, usize) {
     (lo as usize, hi as usize)
 }
 
-/// Copies register lanes into `dst`, lane `i` receiving `src[i + pix]`
-/// (zero past the edge).
-fn shift_into(dst: &mut Vec<i64>, src: &[i64], pix: i32) {
-    let (lo, hi) = shift_window(src.len(), pix);
-    dst.resize(src.len(), 0);
-    dst[..lo].fill(0);
-    dst[hi..].fill(0);
-    if lo < hi {
-        let s = (lo as i64 + i64::from(pix)) as usize;
-        dst[lo..hi].copy_from_slice(&src[s..s + (hi - lo)]);
+/// An operand of a lane op, read in place: a row image (the cells, or
+/// their sensed copy) or a register's lanes.
+#[derive(Clone, Copy)]
+enum Source<'a> {
+    Row(&'a [u8]),
+    Reg(&'a [i64]),
+}
+
+/// Decoding of one lane width and signedness: a row image viewed as
+/// little-endian lane cells, each read as the machine's `i64` lane
+/// value.
+trait Decode: Copy {
+    type Cell: Copy;
+    fn cells(row: &[u8]) -> &[Self::Cell];
+    fn value(cell: Self::Cell) -> i64;
+}
+
+macro_rules! decoders {
+    ($($name:ident: $n:literal x $t:ty),* $(,)?) => {$(
+        #[derive(Clone, Copy)]
+        struct $name;
+        impl Decode for $name {
+            type Cell = [u8; $n];
+            #[inline]
+            fn cells(row: &[u8]) -> &[[u8; $n]] {
+                row.as_chunks().0
+            }
+            #[inline]
+            fn value(cell: [u8; $n]) -> i64 {
+                // zero- or sign-extends per `$t`
+                <$t>::from_le_bytes(cell) as i64
+            }
+        }
+    )*};
+}
+
+decoders!(
+    DecodeU8: 1 x u8,
+    DecodeI8: 1 x i8,
+    DecodeU16: 2 x u16,
+    DecodeI16: 2 x i16,
+    DecodeU32: 4 x u32,
+    DecodeI32: 4 x i32,
+    // a 64-bit lane is its own two's-complement pattern either way; the
+    // value ops read the pattern per signedness (see `LaneInt`)
+    Decode64: 8 x i64,
+);
+
+/// The lanes of an operand.
+trait Lanes: Copy {
+    fn len(self) -> usize;
+    /// Lanes `start..start + n`.
+    fn window(self, start: usize, n: usize) -> Self;
+    /// Every lane in order (a random-access iterator over a slice, so
+    /// zipping two of them compiles to one indexed loop).
+    fn values(self) -> impl Iterator<Item = i64>;
+}
+
+impl Lanes for &[i64] {
+    #[inline]
+    fn len(self) -> usize {
+        <[i64]>::len(self)
+    }
+    #[inline]
+    fn window(self, start: usize, n: usize) -> Self {
+        &self[start..start + n]
+    }
+    #[inline]
+    fn values(self) -> impl Iterator<Item = i64> {
+        self.iter().copied()
     }
 }
 
-/// Decodes `lanes` little-endian lanes of a row image into `dst` at
-/// `width`/`sign`, lane `i` receiving lane `i + pix` (zero past the
-/// edge). One monomorphic loop per width and signedness.
-fn decode_lanes(
-    dst: &mut Vec<i64>,
-    cells: &[u8],
-    lanes: usize,
-    width: LaneWidth,
-    sign: Signedness,
-    pix: i32,
-) {
-    let (lo, hi) = shift_window(lanes, pix);
-    dst.resize(lanes, 0);
-    dst[..lo].fill(0);
-    dst[hi..].fill(0);
-    if lo == hi {
-        return;
+/// The first `lanes` lanes of a row image, decoded by `D` on access.
+#[derive(Clone, Copy)]
+struct RowLanes<'a, D: Decode> {
+    cells: &'a [D::Cell],
+}
+
+impl<'a, D: Decode> RowLanes<'a, D> {
+    #[inline]
+    fn new(row: &'a [u8], lanes: usize) -> Self {
+        RowLanes {
+            cells: &D::cells(row)[..lanes],
+        }
     }
-    let out = &mut dst[lo..hi];
-    let src = &cells[(lo as i64 + i64::from(pix)) as usize * width.bytes()..];
-    match (width, sign) {
-        (LaneWidth::W8, Signedness::Unsigned) => decode_with(out, src, |[b]| i64::from(b)),
-        (LaneWidth::W8, Signedness::Signed) => decode_with(out, src, |[b]| i64::from(b as i8)),
-        (LaneWidth::W16, Signedness::Unsigned) => {
-            decode_with(out, src, |b| i64::from(u16::from_le_bytes(b)))
-        }
-        (LaneWidth::W16, Signedness::Signed) => {
-            decode_with(out, src, |b| i64::from(i16::from_le_bytes(b)))
-        }
-        (LaneWidth::W32, Signedness::Unsigned) => {
-            decode_with(out, src, |b| i64::from(u32::from_le_bytes(b)))
-        }
-        (LaneWidth::W32, Signedness::Signed) => {
-            decode_with(out, src, |b| i64::from(i32::from_le_bytes(b)))
-        }
-        // a 64-bit lane is its own two's-complement pattern either way
-        (LaneWidth::W64, _) => decode_with(out, src, i64::from_le_bytes),
+
+    /// Lane `i`.
+    #[inline]
+    fn at(self, i: usize) -> i64 {
+        D::value(self.cells[i])
     }
 }
 
+impl<D: Decode> Lanes for RowLanes<'_, D> {
+    #[inline]
+    fn len(self) -> usize {
+        self.cells.len()
+    }
+    #[inline]
+    fn window(self, start: usize, n: usize) -> Self {
+        RowLanes {
+            cells: &self.cells[start..start + n],
+        }
+    }
+    #[inline]
+    fn values(self) -> impl Iterator<Item = i64> {
+        self.cells.iter().map(|&c| D::value(c))
+    }
+}
+
+/// `out[i] = f(a[i], b[i + pix])` over `min(|a|, |b|)` lanes, `b`
+/// reading zero past either edge: a single pass, with no intermediate
+/// copy of either operand.
 #[inline]
-fn decode_with<const N: usize>(out: &mut [i64], src: &[u8], f: impl Fn([u8; N]) -> i64) {
-    for (d, &c) in out.iter_mut().zip(src.as_chunks::<N>().0) {
-        *d = f(c);
+fn zip_lanes<A: Lanes, B: Lanes>(
+    out: &mut Vec<i64>,
+    a: A,
+    b: B,
+    pix: i32,
+    f: &impl Fn(i64, i64) -> i64,
+) {
+    let n = a.len().min(b.len());
+    let (lo, hi) = shift_window(b.len(), pix);
+    let (lo, hi) = (lo.min(n), hi.min(n));
+    // the buffer usually has the length already (it held the Tmp Reg
+    // of an earlier op), so this writes nothing
+    out.resize(n, 0);
+    let (head, rest) = out.split_at_mut(lo);
+    let (mid, tail) = rest.split_at_mut(hi - lo);
+    for (o, x) in head.iter_mut().zip(a.window(0, lo).values()) {
+        *o = f(x, 0);
+    }
+    if lo < hi {
+        let bw = b.window((lo as i64 + i64::from(pix)) as usize, hi - lo);
+        let pairs = a.window(lo, hi - lo).values().zip(bw.values());
+        for (o, (x, y)) in mid.iter_mut().zip(pairs) {
+            *o = f(x, y);
+        }
+    }
+    for (o, x) in tail.iter_mut().zip(a.window(hi, n - hi).values()) {
+        *o = f(x, 0);
+    }
+}
+
+/// `out[i] = f(a[i + pix])` over `|a|` lanes, zero past either edge.
+#[inline]
+fn map_lanes<A: Lanes>(out: &mut Vec<i64>, a: A, pix: i32, f: &impl Fn(i64) -> i64) {
+    let n = a.len();
+    let (lo, hi) = shift_window(n, pix);
+    out.resize(n, 0);
+    let (head, rest) = out.split_at_mut(lo);
+    let (mid, tail) = rest.split_at_mut(hi - lo);
+    head.fill(f(0));
+    if lo < hi {
+        let aw = a.window((lo as i64 + i64::from(pix)) as usize, hi - lo);
+        for (o, x) in mid.iter_mut().zip(aw.values()) {
+            *o = f(x);
+        }
+    }
+    tail.fill(f(0));
+}
+
+/// Lane arithmetic of the value-dependent ALU ops (see
+/// [`PimMachine::try_alu`]).
+trait LaneInt:
+    Copy
+    + Ord
+    + std::ops::Add<Output = Self>
+    + std::ops::Sub<Output = Self>
+    + std::ops::Shr<u32, Output = Self>
+{
+    /// The value of a lane holding `v`.
+    fn of(v: i64, sign: Signedness) -> Self;
+    /// The lane pattern of a value that fits the lane.
+    fn lane(self) -> i64;
+    fn abs(self) -> Self;
+    /// Saturates into a `bits`-wide lane of `sign`.
+    fn clamp_lane(self, bits: u32, sign: Signedness) -> i64;
+}
+
+/// Below 64 bits a lane value is its `i64`, and sums and differences
+/// of two lanes cannot overflow.
+impl LaneInt for i64 {
+    #[inline]
+    fn of(v: i64, _: Signedness) -> Self {
+        v
+    }
+    #[inline]
+    fn lane(self) -> i64 {
+        self
+    }
+    #[inline]
+    fn abs(self) -> Self {
+        i64::abs(self)
+    }
+    #[inline]
+    fn clamp_lane(self, bits: u32, sign: Signedness) -> i64 {
+        clamp(self, bits, sign)
+    }
+}
+
+/// At 64 bits an unsigned lane's `i64` pattern reads as a `u64`, and
+/// sums and differences need 65 bits.
+impl LaneInt for i128 {
+    #[inline]
+    fn of(v: i64, sign: Signedness) -> Self {
+        match sign {
+            Signedness::Signed => i128::from(v),
+            Signedness::Unsigned => i128::from(v as u64),
+        }
+    }
+    #[inline]
+    fn lane(self) -> i64 {
+        self as i64
+    }
+    #[inline]
+    fn abs(self) -> Self {
+        i128::abs(self)
+    }
+    #[inline]
+    fn clamp_lane(self, _bits: u32, sign: Signedness) -> i64 {
+        match sign {
+            Signedness::Signed => self.clamp(i64::MIN.into(), i64::MAX.into()) as i64,
+            Signedness::Unsigned => self.clamp(0, u64::MAX.into()) as u64 as i64,
+        }
     }
 }
 
 /// Encodes lane values little-endian into a row's cells at `width`,
 /// each wrapped to the lane; the cells past the last value are zeroed.
-fn encode_lanes(cells: &mut [u8], values: impl Iterator<Item = i64>, width: LaneWidth) {
+fn encode_lanes(cells: &mut [u8], values: &[i64], width: LaneWidth) {
     // `as` truncation is the wrap to the lane width
     match width {
         LaneWidth::W8 => encode_with(cells, values, |v| [v as u8]),
@@ -2371,17 +2663,30 @@ fn encode_lanes(cells: &mut [u8], values: impl Iterator<Item = i64>, width: Lane
 }
 
 #[inline]
-fn encode_with<const N: usize>(
-    cells: &mut [u8],
-    values: impl Iterator<Item = i64>,
-    f: impl Fn(i64) -> [u8; N],
-) {
-    let mut end = 0;
-    for (c, v) in cells.as_chunks_mut::<N>().0.iter_mut().zip(values) {
+fn encode_with<const N: usize>(cells: &mut [u8], values: &[i64], f: impl Fn(i64) -> [u8; N]) {
+    let chunks = cells.as_chunks_mut::<N>().0;
+    let n = values.len().min(chunks.len());
+    for (c, &v) in chunks[..n].iter_mut().zip(&values[..n]) {
         *c = f(v);
-        end += N;
     }
-    cells[end..].fill(0);
+    cells[n * N..].fill(0);
+}
+
+/// Encodes `value` into the first `lanes` lanes of a row's cells at
+/// `width` and zeroes the rest.
+fn fill_lanes(cells: &mut [u8], value: i64, lanes: usize, width: LaneWidth) {
+    match width {
+        LaneWidth::W8 => fill_with(cells, lanes, [value as u8]),
+        LaneWidth::W16 => fill_with(cells, lanes, (value as u16).to_le_bytes()),
+        LaneWidth::W32 => fill_with(cells, lanes, (value as u32).to_le_bytes()),
+        LaneWidth::W64 => fill_with(cells, lanes, value.to_le_bytes()),
+    }
+}
+
+#[inline]
+fn fill_with<const N: usize>(cells: &mut [u8], lanes: usize, lane: [u8; N]) {
+    cells.as_chunks_mut::<N>().0[..lanes].fill(lane);
+    cells[lanes * N..].fill(0);
 }
 
 #[inline]
@@ -2659,6 +2964,68 @@ mod tests {
         assert_eq!(vals, vec![9, 7]);
         assert_eq!(m.stats().cycles - c0, 2);
         assert_eq!(m.stats().sram_reads, 2);
+    }
+
+    /// Two 64-bit lanes per 128-bit word line.
+    fn w64_machine(sign: Signedness) -> PimMachine {
+        PimMachine::builder(ArrayConfig {
+            rows: 4,
+            row_bits: 128,
+        })
+        .lanes(LaneWidth::W64, sign)
+        .build()
+    }
+
+    #[test]
+    fn unsigned_64_bit_lanes_compare_and_saturate_as_unsigned() {
+        let mut m = w64_machine(Signedness::Unsigned);
+        let (a, b) = (Operand::Row(0), Operand::Row(1));
+        let top = (1u64 << 63) as i64; // 2^63: negative as an i64 pattern
+        m.host_write_lanes(0, &[-1, 1]).unwrap(); // u64::MAX, 1
+        m.host_write_lanes(1, &[1, top]).unwrap();
+        m.cmp_gt(a, b);
+        assert_eq!(m.tmp_lanes(), &[-1, 0], "u64::MAX > 1, 1 < 2^63");
+        m.max(a, b);
+        assert_eq!(m.tmp_lanes(), &[-1, top]);
+        m.min(a, b);
+        assert_eq!(m.tmp_lanes(), &[1, 1]);
+        m.avg(a, b);
+        assert_eq!(m.tmp_lanes(), &[top, 1 << 62]);
+        m.sat_add(a, b);
+        assert_eq!(m.tmp_lanes(), &[-1, top + 1], "clamps at u64::MAX");
+        m.sat_sub(b, a);
+        assert_eq!(m.tmp_lanes(), &[0, i64::MAX], "clamps at 0");
+        m.abs_diff(b, a);
+        assert_eq!(m.tmp_lanes(), &[-2, i64::MAX]);
+        m.add(a, b);
+        assert_eq!(m.tmp_lanes(), &[0, top + 1], "wraps mod 2^64");
+    }
+
+    #[test]
+    fn signed_64_bit_lanes_saturate_at_the_word_edge() {
+        let mut m = w64_machine(Signedness::Signed);
+        let (a, b) = (Operand::Row(0), Operand::Row(1));
+        m.host_write_lanes(0, &[i64::MAX, i64::MIN]).unwrap();
+        m.host_write_lanes(1, &[1, 1]).unwrap();
+        m.sat_add(a, b);
+        assert_eq!(m.tmp_lanes(), &[i64::MAX, i64::MIN + 1]);
+        m.sat_sub(a, b);
+        assert_eq!(m.tmp_lanes(), &[i64::MAX - 1, i64::MIN]);
+        m.add(a, b);
+        assert_eq!(m.tmp_lanes(), &[i64::MIN, i64::MIN + 1], "wraps");
+        m.abs_diff(a, b);
+        assert_eq!(m.tmp_lanes(), &[i64::MAX - 1, i64::MAX]);
+        m.avg(a, b);
+        assert_eq!(m.tmp_lanes(), &[1 << 62, i64::MIN >> 1]);
+        m.sat_narrow(a, 64);
+        assert_eq!(m.tmp_lanes(), &[i64::MAX, i64::MIN]);
+        m.host_write_lanes(1, &[0, -1]).unwrap();
+        m.div_signed(a, b);
+        assert_eq!(
+            m.tmp_lanes(),
+            &[i64::MAX, i64::MIN],
+            "x/0 saturates, MIN/-1 wraps"
+        );
     }
 
     #[test]

@@ -3,14 +3,10 @@
 //! operands with a `b` pre-shift of up to one lane past either edge,
 //! the unary ops, and a write-back followed by a re-read. The reference
 //! is built lane by lane from the `pimvo_fixed::sat` wrap/clamp
-//! primitives, independently of the machine's row decoder.
-//!
-//! Two known limits of 64-bit lanes are stepped around, not hidden:
-//! values are drawn below 2^62 in magnitude, because the interpreter
-//! forms lane sums and differences in `i64`, which a full-range pair of
-//! 64-bit lanes overflows; and the saturating ops (`SatAdd`, `SatSub`,
-//! `AbsDiff`) are not run at 64 bits, because `sat::clamp_signed` and
-//! `sat::clamp_unsigned` panic for a 64-bit word.
+//! primitives, independently of the machine's row decoder, and forms
+//! every value-dependent result in `i128`, where an unsigned 64-bit
+//! lane reads as a `u64`. Lane values are drawn over the full range of
+//! each width, 64 bits included.
 
 use pimvo_fixed::sat;
 use pimvo_pim::{AluOp, ArrayConfig, LaneWidth, LogicFunc, Operand, PimMachine, Shift, Signedness};
@@ -72,13 +68,6 @@ fn wrap(v: i64, bits: u32, sign: Signedness) -> i64 {
     }
 }
 
-fn clamp(v: i64, bits: u32, sign: Signedness) -> i64 {
-    match sign {
-        Signedness::Signed => sat::clamp_signed(v, bits),
-        Signedness::Unsigned => sat::clamp_unsigned(v, bits) as i64,
-    }
-}
-
 /// The value a lane holding `v` reads back as after a write-back: the
 /// stored pattern is `v` wrapped to the lane, decoded per signedness.
 fn stored(v: i64, bits: u32, sign: Signedness) -> i64 {
@@ -89,9 +78,29 @@ fn stored(v: i64, bits: u32, sign: Signedness) -> i64 {
     }
 }
 
+/// The value of a lane holding `v`: its `i64`, except that an unsigned
+/// 64-bit lane reads as a `u64`.
+fn value(v: i64, bits: u32, sign: Signedness) -> i128 {
+    match (bits, sign) {
+        (64, Signedness::Unsigned) => i128::from(v as u64),
+        _ => i128::from(v),
+    }
+}
+
+/// `v` saturated into a `bits`-wide lane of `sign`, as the lane's
+/// `i64` pattern.
+fn clamp_wide(v: i128, bits: u32, sign: Signedness) -> i64 {
+    let (lo, hi) = match sign {
+        Signedness::Signed => (-(1i128 << (bits - 1)), (1i128 << (bits - 1)) - 1),
+        Signedness::Unsigned => (0, (1i128 << bits) - 1),
+    };
+    v.clamp(lo, hi) as i64
+}
+
 /// One ALU op on a lane pair at operand width `bits`.
 fn alu_ref(op: AluOp, x: i64, y: i64, bits: u32, sign: Signedness) -> i64 {
     let m = mask(bits);
+    let (vx, vy) = (value(x, bits, sign), value(y, bits, sign));
     match op {
         AluOp::Logic(f) => {
             let (p, q) = (x as u64 & m, y as u64 & m);
@@ -103,16 +112,29 @@ fn alu_ref(op: AluOp, x: i64, y: i64, bits: u32, sign: Signedness) -> i64 {
             };
             (r & m) as i64
         }
-        AluOp::Add => wrap(x + y, bits, sign),
-        AluOp::Sub => wrap(x - y, bits, sign),
-        AluOp::SatAdd => clamp(x + y, bits, sign),
-        AluOp::SatSub => clamp(x - y, bits, sign),
-        AluOp::Avg => (x + y) >> 1,
-        AluOp::AbsDiff => clamp((x - y).abs(), bits, sign),
-        AluOp::Max => x.max(y),
-        AluOp::Min => x.min(y),
+        // the low 64 bits of the exact sum, wrapped to the lane
+        AluOp::Add => wrap((vx + vy) as i64, bits, sign),
+        AluOp::Sub => wrap((vx - vy) as i64, bits, sign),
+        AluOp::SatAdd => clamp_wide(vx + vy, bits, sign),
+        AluOp::SatSub => clamp_wide(vx - vy, bits, sign),
+        AluOp::Avg => ((vx + vy) >> 1) as i64,
+        AluOp::AbsDiff => clamp_wide((vx - vy).abs(), bits, sign),
+        AluOp::Max => {
+            if vx >= vy {
+                x
+            } else {
+                y
+            }
+        }
+        AluOp::Min => {
+            if vx <= vy {
+                x
+            } else {
+                y
+            }
+        }
         AluOp::CmpGt => {
-            if x > y {
+            if vx > vy {
                 m as i64
             } else {
                 0
@@ -145,15 +167,14 @@ fn next(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Random lane values in the range a `bits`-wide lane of `sign`
-/// decodes to (below 2^62 in magnitude for 64-bit lanes).
+/// Random lane values over the full range a `bits`-wide lane of `sign`
+/// decodes to (an unsigned 64-bit lane as its `i64` pattern).
 fn random_lanes(state: &mut u64, lanes: usize, bits: u32, sign: Signedness) -> Vec<i64> {
     (0..lanes)
         .map(|_| {
             let raw = next(state);
             match (bits, sign) {
-                (64, Signedness::Signed) => (raw as i64) >> 2,
-                (64, Signedness::Unsigned) => (raw >> 2) as i64,
+                (64, _) => raw as i64,
                 (_, Signedness::Signed) => sat::wrap_signed(raw as i64, bits),
                 (_, Signedness::Unsigned) => (raw & mask(bits)) as i64,
             }
@@ -211,9 +232,6 @@ proptest! {
                 let lanes = m.lanes() as i64;
                 let bits = width.bits();
                 for op in ALU_OPS {
-                    if bits == 64 && matches!(op, AluOp::SatAdd | AluOp::SatSub | AluOp::AbsDiff) {
-                        continue;
-                    }
                     for (ai, a) in OPERANDS.into_iter().enumerate() {
                         for (bi, b) in OPERANDS.into_iter().enumerate() {
                             // pre-shift in -(lanes + 1)..=lanes + 1
@@ -263,10 +281,17 @@ proptest! {
                                 .collect(),
                         ),
                         ("shl_bits", x.iter().map(|&v| wrap(v << k, bits, sign)).collect()),
-                        ("neg", x.iter().map(|&v| wrap(-v, bits, sign)).collect()),
+                        (
+                            "neg",
+                            x.iter()
+                                .map(|&v| wrap((-value(v, bits, sign)) as i64, bits, sign))
+                                .collect(),
+                        ),
                         (
                             "sat_narrow",
-                            x.iter().map(|&v| sat::clamp_signed(v, narrow)).collect(),
+                            x.iter()
+                                .map(|&v| clamp_wide(value(v, bits, sign), narrow, Signedness::Signed))
+                                .collect(),
                         ),
                     ];
                     for (name, want) in cases {

@@ -101,6 +101,10 @@ step cargo run -q --release -p pimvo-bench --bin trace_profile -- --out "$tp_b"
 step cmp "$tp_a/trace_fig9a.bin" "$tp_b/trace_fig9a.bin"
 step cmp "$tp_a/BENCH_profile.json" "$tp_b/BENCH_profile.json"
 step cmp "$tp_a/profile_fig9a.txt" out/profile_fig9a.txt
+# simulator-speed smoke: the tool behind BENCH_simspeed.json must run
+# and its correctness checks (edge mask and LM normal equations against
+# the scalar references) must hold; its timings are not gated
+step cargo run -q --release -p pimvo-bench --bin exp_simspeed -- --out "$chaos_out"
 rm -rf "$chaos_out"
 
 # bench regression gate: the headline cycle counts must match the
