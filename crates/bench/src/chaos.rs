@@ -14,9 +14,7 @@
 //! * **quarantine storms** — a subset of PIM arrays is quarantined and
 //!   later released (PIM backend only);
 //! * **fault bursts** — a transient bit-upset model is attached to one
-//!   array for a few frames. The model is installed on every build so
-//!   the RNG stream is identical with and without the `fault` feature;
-//!   actual upsets are only injected when the feature is enabled.
+//!   array for a few frames.
 //!
 //! After every frame the harness checks the invariants shared with the
 //! core test-suite: the pose stays finite, the
@@ -341,19 +339,9 @@ pub fn run_chaos(cfg: &ChaosConfig) -> io::Result<ChaosOutcome> {
             }
 
             // Fault burst: attach a transient upset model to one array.
-            // The model is installed unconditionally (keeping the RNG
-            // stream build-independent); upsets only fire under the
-            // `fault` feature.
             if burst_left == 0 && rng.chance(1, 37) {
                 burst_array = rng.below(pool.len() as u64) as usize;
-                let seed = rng.next_u64();
-                #[cfg(feature = "fault")]
-                let model = FaultModel::transient(seed, 1e-7);
-                #[cfg(not(feature = "fault"))]
-                let model = {
-                    let _ = seed;
-                    FaultModel::none()
-                };
+                let model = FaultModel::transient(rng.next_u64(), 1e-7);
                 pool.array_mut(burst_array).set_fault_model(model);
                 burst_left = 2 + rng.below(5) as usize;
                 bursts += 1;
@@ -545,11 +533,11 @@ fn fleet_wave(
 ///
 /// 1. **warm-up** — clean serving, all arrays healthy;
 /// 2. **defect storm** — all but one array is quarantined, two of the
-///    victims grow persistent stuck-at defects (under the `fault`
-///    feature), a seeded transient fault burst rides the surviving
-///    array, and the breaker-armed session's camera feed blacks out:
-///    its tracker degrades into `Lost`, the breaker counts the failed
-///    frames, trips open, and the session is evicted mid-storm;
+///    victims grow persistent stuck-at defects, a seeded transient
+///    fault burst rides the surviving array, and the breaker-armed
+///    session's camera feed blacks out: its tracker degrades into
+///    `Lost`, the breaker counts the failed frames, trips open, and the
+///    session is evicted mid-storm;
 /// 3. **rehabilitation** — a scrub pass march-tests the quarantined
 ///    arrays, remaps defective rows onto spares, and re-admits them;
 ///    capacity must return to its pre-storm value, and — vision
@@ -560,9 +548,7 @@ fn fleet_wave(
 ///    completions; the CRC/timeout ladder retries, channels quarantine
 ///    and traffic degrades to the synchronous port with poses
 ///    unaffected; the operator lifts the model and rehabilitates the
-///    channels (like act 3's scrub, the model is installed on every
-///    build so the RNG stream is identical without the `fault`
-///    feature — actual transfer faults only fire with it);
+///    channels;
 /// 5. **kill-and-recover** — the fleet is checkpointed to a
 ///    [`pimvo_serve::FleetCheckpointStore`] manifest and dropped; a
 ///    recovered fleet replays the remaining waves and must match the
@@ -655,20 +641,16 @@ pub fn run_fleet_chaos(cfg: &FleetChaosConfig) -> io::Result<ChaosOutcome> {
 
     // act 2: defect storm — quarantine all but one array, two victims
     // with persistent stuck-at defects, plus a transient burst on the
-    // survivor (upsets only fire under the `fault` feature; the model
-    // install keeps the RNG stream build-independent).
+    // survivor.
     let quarantined = cfg.arrays.saturating_sub(1).max(1).min(cfg.arrays - 1);
     for v in 0..quarantined {
         if v < 2 {
             let row = 1 + rng.below(40) as usize;
             let bit = rng.below(32) as usize;
-            #[cfg(feature = "fault")]
             fleet
                 .pool_mut()
                 .array_mut(v)
                 .inject_stuck_bit(row, bit, true);
-            #[cfg(not(feature = "fault"))]
-            let _ = (row, bit);
         }
         fleet
             .pool_mut()
@@ -676,14 +658,7 @@ pub fn run_fleet_chaos(cfg: &FleetChaosConfig) -> io::Result<ChaosOutcome> {
             .expect("storm victim index in range");
     }
     let survivor = quarantined; // the one array left standing
-    let burst_seed = rng.next_u64();
-    #[cfg(feature = "fault")]
-    let burst_model = FaultModel::transient(burst_seed, 1e-8);
-    #[cfg(not(feature = "fault"))]
-    let burst_model = {
-        let _ = burst_seed;
-        FaultModel::none()
-    };
+    let burst_model = FaultModel::transient(rng.next_u64(), 1e-8);
     fleet
         .pool_mut()
         .array_mut(survivor)
@@ -740,14 +715,7 @@ pub fn run_fleet_chaos(cfg: &FleetChaosConfig) -> io::Result<ChaosOutcome> {
     // not care (the channel applies data eagerly, the CRC only gates
     // the *cost* ladder).
     let dma_before = fleet.pool_mut().dma_health();
-    let dma_seed = rng.next_u64();
-    #[cfg(feature = "fault")]
-    let dma_model = DmaFaultModel::new(dma_seed, 0.40, 0.30, 0.05);
-    #[cfg(not(feature = "fault"))]
-    let dma_model = {
-        let _ = dma_seed;
-        DmaFaultModel::none()
-    };
+    let dma_model = DmaFaultModel::new(rng.next_u64(), 0.40, 0.30, 0.05);
     fleet.pool_mut().set_dma_fault(dma_model);
     for k in dma_storm_at..kill_at {
         fleet_wave(
@@ -773,20 +741,17 @@ pub fn run_fleet_chaos(cfg: &FleetChaosConfig) -> io::Result<ChaosOutcome> {
     if dma_storm.issued == 0 {
         violations.push("no dma descriptors were issued during the transfer storm".into());
     }
-    #[cfg(feature = "fault")]
-    {
-        if dma_storm.crc_errors == 0 {
-            violations.push("transfer storm injected no CRC-detected flips".into());
-        }
-        if dma_storm.timeouts == 0 {
-            violations.push("transfer storm produced no stall/drop timeouts".into());
-        }
-        if dma_storm.quarantines == 0 {
-            violations.push("transfer storm never drove a channel into quarantine".into());
-        }
-        if dma_storm.sync_fallbacks == 0 {
-            violations.push("quarantined channels never degraded to the synchronous port".into());
-        }
+    if dma_storm.crc_errors == 0 {
+        violations.push("transfer storm injected no CRC-detected flips".into());
+    }
+    if dma_storm.timeouts == 0 {
+        violations.push("transfer storm produced no stall/drop timeouts".into());
+    }
+    if dma_storm.quarantines == 0 {
+        violations.push("transfer storm never drove a channel into quarantine".into());
+    }
+    if dma_storm.sync_fallbacks == 0 {
+        violations.push("quarantined channels never degraded to the synchronous port".into());
     }
 
     // act 5: kill-and-recover — drain, checkpoint, then run the tail
@@ -914,6 +879,9 @@ pub fn run_fleet_chaos(cfg: &FleetChaosConfig) -> io::Result<ChaosOutcome> {
     }
 
     let health = fleet.pool_mut().health();
+    if health.total_remapped_rows() == 0 {
+        violations.push("defect storm injected stuck bits but scrub remapped no row".into());
+    }
     let dma_total = fleet.pool_mut().dma_health();
     let (mut completed, mut shed, mut misses, mut lost) = (0u64, 0u64, 0u64, 0u64);
     for id in fleet.session_ids() {

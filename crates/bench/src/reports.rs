@@ -1259,8 +1259,7 @@ pub fn scaling() -> (Vec<ScalingPoint>, String) {
     (points, out)
 }
 
-/// One arm of the transfer-fault sweep in [`overlap`] (fault builds
-/// only — the vector stays empty on default builds).
+/// One arm of the transfer-fault sweep in [`overlap`].
 #[derive(Debug, Clone, Copy)]
 pub struct OverlapFaultPoint {
     /// Per-descriptor payload-flip probability (caught by CRC).
@@ -1291,7 +1290,7 @@ pub struct OverlapResult {
     /// Whether the overlap arm's edge maps matched the synchronous arm
     /// bit for bit.
     pub identical: bool,
-    /// Seeded transfer-fault arms (empty without the `fault` feature).
+    /// Seeded transfer-fault arms.
     pub fault_sweep: Vec<OverlapFaultPoint>,
 }
 
@@ -1336,7 +1335,6 @@ pub fn overlap() -> (OverlapResult, String) {
         .build_pool(ARRAYS);
     let got = pim_pool::edge_detect_pipelined(&mut dma, &frames, &cfg);
 
-    #[cfg_attr(not(feature = "fault"), allow(unused_mut))]
     let mut res = OverlapResult {
         frames: FRAMES,
         arrays: ARRAYS,
@@ -1350,7 +1348,6 @@ pub fn overlap() -> (OverlapResult, String) {
     // fault sweep: same schedule under a seeded transfer-fault storm —
     // CRC'd descriptors retry (and eventually quarantine down to the
     // synchronous port), so outputs stay bit-identical at any rate
-    #[cfg(feature = "fault")]
     for &(flip, stall) in &[(0.02, 0.01), (0.10, 0.05), (0.35, 0.25)] {
         let mut p = PimMachine::builder(ArrayConfig::qvga_banks(6))
             .dma(DmaConfig::default())
@@ -1462,23 +1459,18 @@ mod scaling_tests {
             res.sync_wall
         );
         assert!(text.contains("hidden behind compute"));
-        // the sweep only runs on fault builds, and every arm must
-        // still match the synchronous reference bit for bit
-        #[cfg(feature = "fault")]
-        {
-            assert!(!res.fault_sweep.is_empty());
-            for p in &res.fault_sweep {
-                assert!(
-                    p.identical,
-                    "faulted arm f={} s={} diverged",
-                    p.flip_rate, p.stall_rate
-                );
-            }
-            let worst = res.fault_sweep.last().unwrap();
-            assert!(worst.health.crc_errors > 0, "storm injected no CRC errors");
-            assert!(worst.health.retries > 0, "storm forced no retries");
+        // every faulted arm must still match the synchronous
+        // reference bit for bit
+        assert!(!res.fault_sweep.is_empty());
+        for p in &res.fault_sweep {
+            assert!(
+                p.identical,
+                "faulted arm f={} s={} diverged",
+                p.flip_rate, p.stall_rate
+            );
         }
-        #[cfg(not(feature = "fault"))]
-        assert!(res.fault_sweep.is_empty());
+        let worst = res.fault_sweep.last().unwrap();
+        assert!(worst.health.crc_errors > 0, "storm injected no CRC errors");
+        assert!(worst.health.retries > 0, "storm forced no retries");
     }
 }

@@ -63,7 +63,7 @@ impl BenchReport {
     /// Serializes the report as pretty-printed JSON.
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\n");
-        let _ = write!(out, "  \"experiment\": {},\n", json::escaped(&self.name));
+        let _ = writeln!(out, "  \"experiment\": {},", json::escaped(&self.name));
         out.push_str("  \"meta\": {");
         for (i, (k, v)) in self.meta.iter().enumerate() {
             if i > 0 {

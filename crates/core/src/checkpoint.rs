@@ -33,6 +33,7 @@
 use crate::supervisor::DegradeRung;
 use crate::tracker::TrackingState;
 use pimvo_kernels::GrayImage;
+use pimvo_telemetry::crc32;
 use pimvo_vomath::{Mat3, Vec3, SE3, SO3};
 use std::fmt;
 use std::path::Path;
@@ -202,37 +203,6 @@ pub struct Checkpoint {
     pub map: Option<MapSnapshot>,
     /// Array-pool health (absent on backends without a pool).
     pub pool: Option<PoolSnapshot>,
-}
-
-// ---------------------------------------------------------------- CRC32
-
-const CRC_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
-    let mut i = 0usize;
-    while i < 256 {
-        let mut c = i as u32;
-        let mut k = 0;
-        while k < 8 {
-            c = if c & 1 != 0 {
-                0xEDB8_8320 ^ (c >> 1)
-            } else {
-                c >> 1
-            };
-            k += 1;
-        }
-        table[i] = c;
-        i += 1;
-    }
-    table
-};
-
-/// CRC-32 (IEEE 802.3, reflected) over `bytes`.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut c = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
-    }
-    c ^ 0xFFFF_FFFF
 }
 
 // ------------------------------------------------------- config hashing
@@ -769,12 +739,6 @@ mod tests {
             Checkpoint::from_bytes(&bytes),
             Err(CheckpointError::Malformed("non-finite pose"))
         ));
-    }
-
-    #[test]
-    fn crc32_reference_vector() {
-        // the classic check value for CRC-32/IEEE
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
     }
 
     #[test]

@@ -135,7 +135,7 @@ fn damaged_snapshots_are_rejected_with_typed_errors() {
     future[9] = ((VERSION + 1) >> 8) as u8;
     // checksum covers the version, so recompute it for a pure
     // version-mismatch (not a checksum failure)
-    let crc = pimvo_core::checkpoint::crc32(&future[..future.len() - 4]);
+    let crc = pimvo_telemetry::crc32(&future[..future.len() - 4]);
     let n = future.len();
     future[n - 4..].copy_from_slice(&crc.to_le_bytes());
     assert!(matches!(

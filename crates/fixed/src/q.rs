@@ -392,7 +392,8 @@ mod tests {
 
     #[test]
     fn f64_roundtrip_is_within_half_lsb() {
-        for &v in &[0.0, 1.0, -1.0, 3.14159, -2.71828, 7.9, -7.9] {
+        use std::f64::consts::{E, PI};
+        for &v in &[0.0, 1.0, -1.0, PI, -E, 7.9, -7.9] {
             let q = Q4_12::from_f64(v);
             assert!((q.to_f64() - v).abs() <= 0.5 / 4096.0 + 1e-12, "v={v}");
         }

@@ -1,8 +1,6 @@
 //! The edge-detection kernels as macro-op IR programs — **one**
-//! definition per kernel, replacing the hand-scheduled variants
-//! (`pim_naive`, `pim_opt`, `pim_multireg` — deprecated thin wrappers
-//! available only under the `legacy-kernels` feature — and
-//! [`crate::pim_pool`], a thin sharding layer over this module).
+//! definition per kernel, at every lowering level
+//! ([`crate::pim_pool`] is a thin sharding layer over this module).
 //!
 //! Each `*_program` builder emits the kernel's dataflow over virtual
 //! registers for a strip of output rows; [`pimvo_pim::lower()`] then
@@ -630,17 +628,20 @@ mod tests {
     fn level_cost_ordering_holds() {
         let img = test_image();
         let cfg = EdgeConfig::default();
+        let cost = pimvo_pim::CostModel::default();
         let mut cycles = Vec::new();
         let mut writes = Vec::new();
+        let mut energy = Vec::new();
         for level in levels() {
             let mut m = machine_for(level);
             let _ = edge_detect(&mut m, &img, &cfg, level);
             cycles.push(m.stats().cycles);
             writes.push(m.stats().sram_writes);
+            energy.push(m.stats().energy(&cost).total_pj());
         }
         assert!(
-            cycles[0] > cycles[1],
-            "naive {} should exceed opt {}",
+            cycles[0] as f64 > 1.3 * cycles[1] as f64,
+            "naive {} should exceed opt {} by 1.3x",
             cycles[0],
             cycles[1]
         );
@@ -656,6 +657,27 @@ mod tests {
             writes[2],
             writes[1]
         );
+        assert!(
+            energy[2] < 0.85 * energy[1],
+            "multireg energy {} vs opt {}",
+            energy[2],
+            energy[1]
+        );
+        // the LPF cost is linear in the row count
+        let lpf_cycles = |h| {
+            let mut m = machine();
+            let _ = lpf(
+                &mut m,
+                &GrayImage::from_fn(64, h, |x, y| (x * y) as u8),
+                LowerLevel::Opt,
+            );
+            m.stats().cycles
+        };
+        let (per16, per32) = (lpf_cycles(16), lpf_cycles(32));
+        assert!(
+            per32 > per16 && per32 <= 2 * per16 + 8,
+            "{per16} vs {per32}"
+        );
     }
 
     #[test]
@@ -666,6 +688,13 @@ mod tests {
             let mut m = machine_for(level);
             assert_eq!(downsample2x(&mut m, &img, level), want, "{level}");
         }
+        // the scalar reference halves both sides and averages 2x2 blocks:
+        // uniform blocks average to themselves
+        let blocks = GrayImage::from_fn(8, 8, |x, y| ((x / 2) * 40 + (y / 2) * 10) as u8);
+        let out = scalar::downsample2x(&blocks);
+        assert_eq!((out.width(), out.height()), (4, 4));
+        assert_eq!(out.get(1, 1), 50);
+        assert_eq!(out.get(3, 2), 140);
     }
 
     #[test]

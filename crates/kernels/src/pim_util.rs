@@ -197,15 +197,3 @@ pub fn ghost_mask(m: &mut PimMachine, regions: &Regions, width: usize) -> Option
         .expect("host I/O row in range");
     Some(row)
 }
-
-/// Applies the ghost-lane mask to the Tmp Reg if one is active (a
-/// single AND cycle, only incurred for sub-width images).
-pub fn apply_ghost_mask(m: &mut PimMachine, mask: Option<usize>) {
-    if let Some(row) = mask {
-        m.logic(
-            pimvo_pim::LogicFunc::And,
-            pimvo_pim::Operand::Tmp,
-            pimvo_pim::Operand::Row(row),
-        );
-    }
-}

@@ -177,6 +177,25 @@ pub fn edge_detect(img: &GrayImage, cfg: &EdgeConfig) -> EdgeMaps {
     }
 }
 
+/// Downsamples by 2 with 2x2 block averaging (truncating, matching the
+/// PIM `avg` primitive applied vertically then horizontally) — the
+/// pyramid-construction kernel for coarse-to-fine tracking.
+///
+/// Odd trailing rows/columns are dropped.
+pub fn downsample2x(img: &GrayImage) -> GrayImage {
+    let (w, h) = (img.width() / 2, img.height() / 2);
+    assert!(w > 0 && h > 0, "image too small to downsample");
+    let mut out = GrayImage::new(w, h);
+    for y in 0..h {
+        for x in 0..w {
+            let v0 = avg_u8(img.get(2 * x, 2 * y), img.get(2 * x, 2 * y + 1));
+            let v1 = avg_u8(img.get(2 * x + 1, 2 * y), img.get(2 * x + 1, 2 * y + 1));
+            out.set(x, y, avg_u8(v0, v1));
+        }
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -307,23 +326,4 @@ mod tests {
         // border cleared
         assert_eq!(maps.mask.get(0, 0), 0);
     }
-}
-
-/// Downsamples by 2 with 2x2 block averaging (truncating, matching the
-/// PIM `avg` primitive applied vertically then horizontally) — the
-/// pyramid-construction kernel for coarse-to-fine tracking.
-///
-/// Odd trailing rows/columns are dropped.
-pub fn downsample2x(img: &GrayImage) -> GrayImage {
-    let (w, h) = (img.width() / 2, img.height() / 2);
-    assert!(w > 0 && h > 0, "image too small to downsample");
-    let mut out = GrayImage::new(w, h);
-    for y in 0..h {
-        for x in 0..w {
-            let v0 = avg_u8(img.get(2 * x, 2 * y), img.get(2 * x, 2 * y + 1));
-            let v1 = avg_u8(img.get(2 * x + 1, 2 * y), img.get(2 * x + 1, 2 * y + 1));
-            out.set(x, y, avg_u8(v0, v1));
-        }
-    }
-    out
 }

@@ -80,8 +80,8 @@
 //! ([`PoolHealth`], [`RetryPolicy`]). All of it is inert by default:
 //! with [`FaultModel::none`] and [`Protection::None`] every output,
 //! cycle and picojoule is identical to a build without the layer.
-//! Constructing an *active* fault model requires the `fault` cargo
-//! feature.
+//! Active models ([`FaultModel::transient`],
+//! [`FaultModel::with_stuck_bit`]) are plain runtime configuration.
 //!
 //! # Host↔array data path (DMA)
 //!
@@ -92,7 +92,7 @@
 //! channel engines ([`PimMachineBuilder::dma`],
 //! [`PimArrayPool::set_dma`]) whose bounded queues overlap transfers
 //! with compute — the value domain never changes, only wall cycles.
-//! A seeded [`DmaFaultModel`] (`fault` feature) injects payload flips
+//! A seeded [`DmaFaultModel`] injects payload flips
 //! (caught by CRC), stalls and dropped completions (caught by a
 //! cycle-domain timeout), driving a retry → exponential backoff →
 //! channel-quarantine ladder; a quarantined channel degrades to the

@@ -314,8 +314,7 @@ impl PimMachineBuilder {
         self
     }
 
-    /// Plugs in a [`FaultModel`]. The default is [`FaultModel::none`];
-    /// active models require the `fault` cargo feature to construct.
+    /// Plugs in a [`FaultModel`]. The default is [`FaultModel::none`].
     /// Pool member arrays stamped from this builder fork the model's
     /// fault stream per array index (see [`PimMachine::reseed_faults`]).
     pub fn fault(mut self, model: FaultModel) -> Self {
@@ -594,7 +593,6 @@ impl PimMachine {
     }
 
     /// Injects a persistent stuck-at cell fault at (`row`, `bit`).
-    #[cfg(feature = "fault")]
     pub fn inject_stuck_bit(&mut self, row: usize, bit: usize, value: bool) {
         self.fault.add_stuck_bit(row, bit, value);
     }
@@ -2768,7 +2766,6 @@ mod tests {
         assert!(e.sram_pj >= 2.0 * m.cost_model().scrub_row_pj);
     }
 
-    #[cfg(feature = "fault")]
     #[test]
     fn remap_escapes_stuck_bit_and_scrub_detects_it() {
         let mut m = PimMachineBuilder::new(ArrayConfig::qvga())

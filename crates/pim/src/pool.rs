@@ -1762,7 +1762,6 @@ mod tests {
         assert_eq!(p.wall_cycles(), 777);
     }
 
-    #[cfg(feature = "fault")]
     mod injected {
         use super::*;
         use crate::fault::{FaultModel, Protection};

@@ -26,7 +26,7 @@
 //! by the chaos harness in `pimvo-bench`).
 
 use crate::store::StoreError;
-use pimvo_core::checkpoint::crc32;
+use pimvo_telemetry::crc32;
 use pimvo_telemetry::optrace::OpTrace;
 use std::collections::VecDeque;
 use std::fs;

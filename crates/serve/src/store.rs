@@ -11,12 +11,12 @@
 //! ```
 //!
 //! The CRC (the same CRC-32 the per-session tracker checkpoints use,
-//! [`pimvo_core::checkpoint::crc32`]) covers the payload; magic and
-//! version catch foreign or stale files before the payload is parsed.
+//! [`pimvo_telemetry::crc32`]) covers the payload; magic and version
+//! catch foreign or stale files before the payload is parsed.
 
 use crate::fleet::MANIFEST_PAYLOAD_VERSION;
 use crate::FleetScheduler;
-use pimvo_core::checkpoint::crc32;
+use pimvo_telemetry::crc32;
 use std::fs;
 use std::io::Write;
 use std::path::{Path, PathBuf};

@@ -1,8 +1,7 @@
-//! Fault-containment property tests (feature `fault`): a 4-session
-//! fleet under a seeded quarantine storm stays bit-identical to its
-//! solo runs once the scrub pass re-admits (and, where needed, spare-
-//! row-remaps) the arrays — and never drops a committed frame.
-#![cfg(feature = "fault")]
+//! Fault-containment property tests: a 4-session fleet under a seeded
+//! quarantine storm stays bit-identical to its solo runs once the scrub
+//! pass re-admits (and, where needed, spare-row-remaps) the arrays —
+//! and never drops a committed frame.
 
 use pimvo_core::{BackendKind, TrackerBuilder, TrackerConfig};
 use pimvo_kernels::{DepthImage, GrayImage};
@@ -75,9 +74,9 @@ proptest! {
                 SessionSpec::new(TrackerConfig::default()).max_queue(FRAMES),
             );
         }
-        for s in 0..N {
+        for (s, &speed) in speeds.iter().enumerate() {
             for k in 0..FRAMES {
-                let (g, d) = session_frame(s, k, speeds[s]);
+                let (g, d) = session_frame(s, k, speed);
                 fleet.submit_frame(SessionId(s as u32 + 1), g, d).unwrap();
             }
         }
@@ -119,14 +118,14 @@ proptest! {
 
         outcomes.extend(fleet.run_until_idle().unwrap());
 
-        for s in 0..N {
+        for (s, &speed) in speeds.iter().enumerate() {
             let id = SessionId(s as u32 + 1);
             let got: Vec<SE3> = outcomes
                 .iter()
                 .filter(|o| o.session == id)
                 .map(|o| o.result.pose_wc)
                 .collect();
-            let want = solo_poses(s, FRAMES, speeds[s]);
+            let want = solo_poses(s, FRAMES, speed);
             let st = fleet.stats(id).unwrap();
             prop_assert_eq!(st.completed, FRAMES as u64, "session {} dropped frames", s);
             prop_assert_eq!(st.shed, 0, "session {} shed committed frames", s);

@@ -69,7 +69,7 @@ proptest! {
 
         // interleave submissions and steps per the random schedule,
         // then drain whatever is left
-        let mut next = vec![0usize; N];
+        let mut next = [0usize; N];
         let mut outcomes: Vec<StepOutcome> = Vec::new();
         for ix in &schedule {
             let slot = *ix as usize % (2 * N);
@@ -92,13 +92,13 @@ proptest! {
         }
         outcomes.extend(fleet.run_until_idle().unwrap());
 
-        for s in 0..N {
+        for (s, &speed) in speeds.iter().enumerate() {
             let got: Vec<SE3> = outcomes
                 .iter()
                 .filter(|o| o.session == SessionId(s as u32 + 1))
                 .map(|o| o.result.pose_wc)
                 .collect();
-            let want = solo_poses(s, FRAMES, speeds[s]);
+            let want = solo_poses(s, FRAMES, speed);
             prop_assert_eq!(got.len(), FRAMES, "session {} frame count", s);
             for (k, (g, w)) in got.iter().zip(&want).enumerate() {
                 prop_assert_eq!(g, w, "session {} frame {} pose", s, k);

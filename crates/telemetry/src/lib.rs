@@ -42,6 +42,7 @@
 //!   object per line with timestamp, frame id and severity.
 
 mod clock;
+mod crc;
 /// Minimal hand-rolled JSON serialization helpers (the crate is
 /// dependency-free); also used by `pimvo-bench` for its report files.
 pub mod json;
@@ -51,6 +52,7 @@ mod perfetto;
 mod record;
 
 pub use clock::{Clock, ManualClock, WallClock};
+pub use crc::crc32;
 pub use record::{EventKind, LogRecord, Severity, SpanRecord, TimeDomain};
 
 use std::sync::{Arc, Mutex, MutexGuard};

@@ -26,6 +26,7 @@
 //! Corrupt input never panics: every decode failure is a typed
 //! [`OpTraceError`].
 
+use crate::crc32;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -473,21 +474,6 @@ fn read_bytes<'a>(
     let out = &bytes[*cursor..end];
     *cursor = end;
     Ok(out)
-}
-
-/// CRC-32 (IEEE 802.3, reflected, poly 0xEDB88320) — the same
-/// polynomial the tracker/fleet checkpoints use, reimplemented here so
-/// the telemetry crate stays dependency-free.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = !0u32;
-    for &b in bytes {
-        crc ^= b as u32;
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-        }
-    }
-    !crc
 }
 
 // ---------------------------------------------------------------------

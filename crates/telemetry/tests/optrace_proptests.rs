@@ -2,8 +2,9 @@
 //! batches round-trip byte-identically, and corrupted containers come
 //! back as typed errors, never panics.
 
+use pimvo_telemetry::crc32;
 use pimvo_telemetry::optrace::{
-    crc32, OpRecord, OpTrace, OpTraceError, NO_LABEL, OPTRACE_MAGIC, OP_KINDS,
+    OpRecord, OpTrace, OpTraceError, NO_LABEL, OPTRACE_MAGIC, OP_KINDS,
 };
 use proptest::prelude::*;
 

@@ -74,18 +74,16 @@ proptest! {
         // L: lower-triangular with a strengthened diagonal
         let mut l = [[0.0f64; 6]; 6];
         let mut it = vals.into_iter();
-        for i in 0..6 {
-            for j in 0..=i {
+        for (i, row) in l.iter_mut().enumerate() {
+            for (j, cell) in row.iter_mut().enumerate().take(i + 1) {
                 let v = it.next().expect("21 values");
-                l[i][j] = if i == j { 2.0 + v.abs() } else { v };
+                *cell = if i == j { 2.0 + v.abs() } else { v };
             }
         }
         let mut a = [[0.0f64; 6]; 6];
         for i in 0..6 {
             for j in 0..6 {
-                for k in 0..6 {
-                    a[i][j] += l[i][k] * l[j][k];
-                }
+                a[i][j] = l[i].iter().zip(&l[j]).map(|(x, y)| x * y).sum();
             }
         }
         let x_true = [0.7, -0.3, 1.1, 0.0, -2.0, 0.5];

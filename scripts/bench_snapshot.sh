@@ -6,14 +6,14 @@
 #   scripts/bench_snapshot.sh [frames]
 #
 # exp_all writes one BENCH_<experiment>.json per experiment plus
-# BENCH_summary.json; the fault build adds BENCH_fault_sweep.json.
+# BENCH_summary.json; fault_sweep writes BENCH_fault_sweep.json.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 FRAMES="${1:-30}"
 
 cargo run --release -p pimvo-bench --bin exp_all -- "$FRAMES" --out .
-cargo run --release -p pimvo-bench --features fault --bin fault_sweep -- 10
+cargo run --release -p pimvo-bench --bin fault_sweep -- 10
 # fleet-soak sweep: {1,4,16} sessions x {2,4,8} arrays through the
 # pimvo-serve scheduler -> BENCH_fleet.json
 cargo run --release -p pimvo-bench --bin fleet_soak -- --out .
